@@ -13,9 +13,11 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import time
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,6 +49,8 @@ class FeatureConfig:
             raise ValueError(f"char_ngram_range must satisfy 1 <= lo <= hi <= 8, got {lo, hi}")
         if self.hash_dim < 2**10 or self.hash_dim & (self.hash_dim - 1):
             raise ValueError(f"hash_dim must be a power of two >= 1024, got {self.hash_dim}")
+        if not 0 <= self.hash_seed < 2**64:
+            raise ValueError(f"hash_seed must be in [0, 2**64), got {self.hash_seed}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,18 @@ class HyperParams:
             raise ValueError("seed must be non-negative")
 
 
+@dataclass(frozen=True)
+class TrainStats:
+    """What one `train` call did. The loss per epoch is the model's
+    `loss_history`."""
+
+    steps: int
+    epoch_s: tuple[float, ...]  # seconds per epoch
+    featurize_s: float
+    support: int  # buckets with a non-zero value in some training text
+    bucket_occupancy: float  # support / hash_dim
+
+
 @dataclass
 class BaselineModel:
     """Trained classifier: dense weights over the hashed feature space."""
@@ -90,6 +106,7 @@ class BaselineModel:
     seed: int
     final_loss: float = float("nan")
     loss_history: tuple[float, ...] = ()  # mean loss per epoch
+    train_stats: TrainStats | None = None  # set by `train`; not saved
 
     def __post_init__(self):
         if not np.isfinite(self.weights).all() or not np.isfinite(self.bias).all():
@@ -139,6 +156,85 @@ def _logits(weights: np.ndarray, bias: np.ndarray, features: Mapping[int, float]
     return z
 
 
+def _pack(texts: Iterable[str], cfg: FeatureConfig, max_seq_len: int):
+    """Featurize each text once into packed rows.
+
+    Returns (ptr, buckets, values): the features of text i are
+    buckets[ptr[i]:ptr[i+1]] with values[ptr[i]:ptr[i+1]], in the order
+    `featurize` yields them. Each dict is dropped once it is packed, so
+    memory holds 16 bytes per feature instead of every dict at once.
+    """
+    ptr, buckets, values = array("q", [0]), array("q"), array("d")
+    for text in texts:
+        features = featurize(text[:max_seq_len], cfg)
+        buckets.extend(features)
+        values.extend(features.values())
+        ptr.append(len(buckets))
+    return (
+        np.frombuffer(ptr, dtype=np.int64),
+        np.frombuffer(buckets, dtype=np.int64),
+        np.frombuffer(values, dtype=np.float64),
+    )
+
+
+def _take_rows(ptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, rows: np.ndarray):
+    """The packed rows `rows`, joined in that order: (ptr, cols, vals)."""
+    starts = ptr[rows]
+    lengths = ptr[rows + 1] - starts
+    out_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out_ptr[1:])
+    idx = np.repeat(starts - out_ptr[:-1], lengths) + np.arange(out_ptr[-1])
+    return out_ptr, cols[idx], vals[idx]
+
+
+def _batch_loss_and_gradient(
+    weights: np.ndarray,
+    bias: np.ndarray,
+    ptr: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    targets: Sequence[int],
+    l2_lambda: float,
+    sq_norm: float,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean cross-entropy of a packed batch plus l2_lambda * sq_norm / 2,
+    with the gradient with respect to `weights` and `bias`.
+
+    Row r of the batch has the features cols[ptr[r]:ptr[r+1]], which
+    index columns of `weights`, with the values vals[ptr[r]:ptr[r+1]],
+    and the label index targets[r]. `sq_norm` is ||W||^2 over the full
+    weight matrix, which `weights` may hold only some columns of.
+    """
+    n_rows = len(targets)
+    inv_n = 1.0 / n_rows
+    errs = np.empty((n_rows, len(bias)))
+    grad_b = np.zeros_like(bias)
+    loss = 0.0
+    bounds = ptr.tolist()
+    for r, target in enumerate(targets):
+        lo, hi = bounds[r], bounds[r + 1]
+        z = bias.copy()
+        if hi > lo:
+            z += weights[:, cols[lo:hi]] @ vals[lo:hi]
+        probs = _softmax(z)
+        loss -= np.log(max(probs[target], 1e-300)) * inv_n
+        probs[target] -= 1.0
+        probs *= inv_n
+        grad_b += probs
+        errs[r] = probs
+    # One scatter for the batch. ufunc.at adds in index order, so every
+    # cell sums its contributions in example order, starting from 0.0.
+    n_labels, n_cols = weights.shape
+    grad_w = np.zeros_like(weights)
+    flat = (np.arange(n_labels)[:, None] * n_cols + cols).ravel()
+    rows = np.repeat(np.arange(n_rows), np.diff(ptr))
+    np.add.at(grad_w.reshape(-1), flat, (errs[rows].T * vals).ravel())
+    if l2_lambda:
+        loss += 0.5 * l2_lambda * sq_norm
+        grad_w += l2_lambda * weights
+    return float(loss), grad_w, grad_b
+
+
 def loss_and_gradient(
     model: BaselineModel,
     batch: Sequence[tuple[Mapping[int, float], str]],
@@ -148,32 +244,24 @@ def loss_and_gradient(
     L2 penalty of l2_lambda * ||W||^2 / 2, with its exact gradient.
 
     Returns (loss, grad_weights, grad_bias); the gradients match the
-    parameter shapes. The bias column is not regularized.
+    parameter shapes. The bias column is not regularized. This is the
+    kernel `train` runs, applied to the model's full weight matrix.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
     label_index = {label: i for i, label in enumerate(model.labels)}
-    grad_w = np.zeros_like(model.weights)
-    grad_b = np.zeros_like(model.bias)
-    loss = 0.0
-    inv_n = 1.0 / len(batch)
-    for features, label in batch:
+    targets = []
+    for _, label in batch:
         if label not in label_index:
             raise ValueError(f"label {label!r} not in model labels {model.labels}")
-        probs = _softmax(_logits(model.weights, model.bias, features))
-        loss -= np.log(max(probs[label_index[label]], 1e-300)) * inv_n
-        err = probs.copy()
-        err[label_index[label]] -= 1.0
-        err *= inv_n
-        grad_b += err
-        if features:
-            idxs = np.fromiter(features.keys(), dtype=np.int64, count=len(features))
-            vals = np.fromiter(features.values(), dtype=np.float64, count=len(features))
-            np.add.at(grad_w, (slice(None), idxs), err[:, None] * vals[None, :])
-    if l2_lambda:
-        loss += 0.5 * l2_lambda * float((model.weights**2).sum())
-        grad_w += l2_lambda * model.weights
-    return float(loss), grad_w, grad_b
+        targets.append(label_index[label])
+    ptr = np.cumsum([0] + [len(features) for features, _ in batch])
+    cols = np.fromiter((j for features, _ in batch for j in features), np.int64, ptr[-1])
+    vals = np.fromiter((v for features, _ in batch for v in features.values()), np.float64, ptr[-1])
+    sq_norm = float((model.weights**2).sum()) if l2_lambda else 0.0
+    return _batch_loss_and_gradient(
+        model.weights, model.bias, ptr, cols, vals, targets, l2_lambda, sq_norm
+    )
 
 
 def train(
@@ -186,6 +274,12 @@ def train(
     Texts are truncated to `max_seq_len` characters before featurization.
     The label order is the sorted set of training labels. Identical
     (data, hyper, cfg) always produce bit-identical models.
+
+    Only the support is trained: the buckets that some training text
+    has a non-zero value in. Every other weight has a zero gradient,
+    zero Adam moments and a zero value at every step, so dense Adam
+    would leave it at exactly 0.0. The result is the dense update's,
+    bit for bit; the returned model carries `train_stats`.
     """
     hyper = hyper or HyperParams()
     cfg = cfg or FeatureConfig()
@@ -195,35 +289,44 @@ def train(
     if len(labels) < 2:
         raise ValueError(f"need at least 2 distinct labels, got {labels}")
 
-    examples = [
-        (featurize(text[: hyper.max_seq_len], cfg), label) for text, label in train_set
-    ]
+    started = time.perf_counter()
+    ptr, buckets, vals = _pack((text for text, _ in train_set), cfg, hyper.max_seq_len)
+    featurize_s = time.perf_counter() - started
+    support, cols = np.unique(buckets, return_inverse=True)
+    label_index = {label: i for i, label in enumerate(labels)}
+    targets = np.array([label_index[label] for _, label in train_set])
+
     n_classes = len(labels)
-    weights = np.zeros((n_classes, cfg.hash_dim), dtype=np.float64)
+    weights = np.zeros((n_classes, len(support)), dtype=np.float64)
     bias = np.zeros(n_classes, dtype=np.float64)
     m_w = np.zeros_like(weights)
     v_w = np.zeros_like(weights)
     m_b = np.zeros_like(bias)
     v_b = np.zeros_like(bias)
-
-    model = BaselineModel(
-        labels=labels,
-        weights=weights,
-        bias=bias,
-        feature_config=cfg,
-        max_seq_len=hyper.max_seq_len,
-        seed=hyper.seed,
-    )
+    # The penalty's ||W||^2 is summed over the squares of the full
+    # (n_classes, hash_dim) matrix, flattened: summing the support alone
+    # would add in another order and can move the loss by an ulp.
+    squares = np.zeros(n_classes * cfg.hash_dim) if hyper.l2_lambda else None
+    support_flat = (np.arange(n_classes)[:, None] * cfg.hash_dim + support).ravel()
 
     rng = np.random.default_rng(hyper.seed)
     step = 0
-    history = []
+    history, epoch_s = [], []
     for _ in range(hyper.epochs):
-        order = rng.permutation(len(examples))
+        epoch_started = time.perf_counter()
+        order = rng.permutation(len(train_set))
         batch_losses = []
-        for start in range(0, len(examples), hyper.batch_size):
-            batch = [examples[i] for i in order[start : start + hyper.batch_size]]
-            loss, grad_w, grad_b = loss_and_gradient(model, batch, hyper.l2_lambda)
+        for start in range(0, len(train_set), hyper.batch_size):
+            rows = order[start : start + hyper.batch_size]
+            sq_norm = float(squares.sum()) if squares is not None else 0.0
+            loss, grad_w, grad_b = _batch_loss_and_gradient(
+                weights,
+                bias,
+                *_take_rows(ptr, cols, vals, rows),
+                targets[rows].tolist(),
+                hyper.l2_lambda,
+                sq_norm,
+            )
             batch_losses.append(loss)
             step += 1
             bc1 = 1.0 - _ADAM_BETA1**step
@@ -239,10 +342,30 @@ def train(
                 param -= hyper.learning_rate * (param_m / bc1) / (
                     np.sqrt(param_v / bc2) + hyper.adam_epsilon
                 )
+            if squares is not None:
+                squares[support_flat] = (weights**2).ravel()
         history.append(float(np.mean(batch_losses)))
-    model.loss_history = tuple(history)
-    model.final_loss = history[-1]
-    return model
+        epoch_s.append(time.perf_counter() - epoch_started)
+
+    dense = np.zeros((n_classes, cfg.hash_dim), dtype=np.float64)
+    dense[:, support] = weights
+    return BaselineModel(
+        labels=labels,
+        weights=dense,
+        bias=bias,
+        feature_config=cfg,
+        max_seq_len=hyper.max_seq_len,
+        seed=hyper.seed,
+        final_loss=history[-1],
+        loss_history=tuple(history),
+        train_stats=TrainStats(
+            steps=step,
+            epoch_s=tuple(epoch_s),
+            featurize_s=featurize_s,
+            support=len(support),
+            bucket_occupancy=len(support) / cfg.hash_dim,
+        ),
+    )
 
 
 def predict(model: BaselineModel, text: str) -> tuple[str, np.ndarray]:
@@ -291,28 +414,57 @@ def save_model(model: BaselineModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> BaselineModel:
-    """Load a model saved by `save_model`."""
+    """Load a model saved by `save_model`.
+
+    Fails closed: a missing or wrongly typed key, an array that is not
+    float64 of the shape the labels and `hash_dim` imply, or a weight
+    that is not finite raises ValueError.
+    """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError("model file must hold a JSON object")
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    fc = payload["feature_config"]
+    fc = _field(payload, "feature_config", dict)
+    ngram_range = _field(fc, "char_ngram_range", list)
+    if len(ngram_range) != 2 or not all(_is_a(n, int) for n in ngram_range):
+        raise ValueError(f"model file: 'char_ngram_range' must be two integers, got {ngram_range!r}")
     cfg = FeatureConfig(
-        char_ngram_range=tuple(fc["char_ngram_range"]),
-        include_word_unigrams=fc["include_word_unigrams"],
-        hash_dim=fc["hash_dim"],
-        hash_seed=fc["hash_seed"],
+        char_ngram_range=tuple(ngram_range),
+        include_word_unigrams=_field(fc, "include_word_unigrams", bool),
+        hash_dim=_field(fc, "hash_dim", int),
+        hash_seed=_field(fc, "hash_seed", int),
     )
+    labels = tuple(_field(payload, "labels", list))
+    if not all(isinstance(label, str) for label in labels):
+        raise ValueError(f"model file: 'labels' must be strings, got {labels!r}")
+    history = _field(payload, "loss_history", list, default=[])
+    if not all(_is_a(loss, (int, float)) for loss in history):
+        raise ValueError("model file: 'loss_history' must hold numbers")
     return BaselineModel(
-        labels=tuple(payload["labels"]),
-        weights=_decode_array(payload["weights"]),
-        bias=_decode_array(payload["bias"]),
+        labels=labels,
+        weights=_decode_array(_field(payload, "weights", dict), (len(labels), cfg.hash_dim)),
+        bias=_decode_array(_field(payload, "bias", dict), (len(labels),)),
         feature_config=cfg,
-        max_seq_len=payload["max_seq_len"],
-        seed=payload["seed"],
-        final_loss=payload["final_loss"],
-        loss_history=tuple(payload.get("loss_history", ())),
+        max_seq_len=_field(payload, "max_seq_len", int),
+        seed=_field(payload, "seed", int),
+        final_loss=_field(payload, "final_loss", (int, float)),
+        loss_history=tuple(history),
     )
+
+
+def _is_a(value, kind) -> bool:
+    """isinstance for JSON values, where a bool is not a number."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _field(obj: dict, key: str, kind, default=None):
+    """obj[key] if it is present and of the JSON type `kind`, else ValueError."""
+    value = obj.get(key, default)
+    if not _is_a(value, kind):
+        raise ValueError(f"model file: {key!r} is missing or of the wrong type")
+    return value
 
 
 def _encode_array(arr: np.ndarray) -> dict:
@@ -323,6 +475,12 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(obj: dict) -> np.ndarray:
-    data = base64.b64decode(obj["data"])
-    return np.frombuffer(data, dtype=obj["dtype"]).reshape(obj["shape"]).copy()
+def _decode_array(obj: dict, shape: tuple[int, ...]) -> np.ndarray:
+    """The float64 array of `shape` that `_encode_array` wrote, else ValueError."""
+    if obj.get("dtype") != "float64" or obj.get("shape") != list(shape):
+        raise ValueError(
+            f"model array must be float64 of shape {list(shape)}, "
+            f"got {obj.get('dtype')!r} of shape {obj.get('shape')!r}"
+        )
+    data = base64.b64decode(_field(obj, "data", str), validate=True)
+    return np.frombuffer(data, dtype=np.float64).reshape(shape).copy()

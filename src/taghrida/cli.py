@@ -45,6 +45,7 @@ def _write_manifest(
     outputs: list[str],
     seed: int | None,
     started: float,
+    stats: dict | None = None,
 ) -> None:
     manifest = {
         "command": command,
@@ -55,6 +56,8 @@ def _write_manifest(
         "seed": seed,
         "duration_s": round(time.monotonic() - started, 6),
     }
+    if stats is not None:
+        manifest["stats"] = stats
     path = primary_output.with_name(primary_output.name + ".manifest.json")
     path.write_text(json.dumps(manifest, ensure_ascii=False, indent=2), encoding="utf-8")
 
@@ -243,6 +246,7 @@ def cmd_train(args) -> int:
         [str(out_path)],
         args.seed,
         started,
+        {**_config_snapshot(model.train_stats), "epoch_loss": list(model.loss_history)},
     )
     print(
         f"trained on {len(pairs)} records, final epoch loss {model.final_loss:.4f} "
@@ -311,9 +315,13 @@ def cmd_evaluate(args) -> int:
                 continue
             try:
                 obj = json.loads(line)
-                pred_by_id[obj["id"]] = obj["label"]
-            except (ValueError, KeyError) as exc:
+                rec_id, label = obj["id"], obj["label"]
+                duplicate = rec_id in pred_by_id
+            except (ValueError, KeyError, TypeError) as exc:
                 raise DataError(f"{pred_path}:{lineno}: {exc}") from None
+            if duplicate:
+                raise DataError(f"{pred_path}:{lineno}: duplicate id {rec_id!r}")
+            pred_by_id[rec_id] = label
         if len(pred_by_id) != len(gold):
             raise UsageError(
                 f"gold has {len(gold)} records but predictions cover "
@@ -479,6 +487,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except IsADirectoryError as exc:
+        print(f"error: {exc.filename or exc} is a directory, not a file", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,12 +3,16 @@ finite differences, separable-set fitting, determinism, persistence."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import separable_examples
+import reference_baseline
+from conftest import separable_examples, synth_rows
 from taghrida import baseline
 from taghrida.baseline import (
     BaselineModel,
@@ -251,6 +255,96 @@ def test_train_rejects_single_label():
         train([], HyperParams(epochs=1), SMALL_CFG)
 
 
+def test_train_stats(tmp_path):
+    examples = separable_examples()
+    model = train(examples, HyperParams(epochs=3, batch_size=6, seed=0), SMALL_CFG)
+    stats = model.train_stats
+    assert stats.steps == 3 * 4  # 20 examples in batches of 6: 6, 6, 6, 2
+    assert len(stats.epoch_s) == 3 and all(s >= 0.0 for s in stats.epoch_s)
+    assert stats.featurize_s >= 0.0
+    buckets = set()
+    for text, _ in examples:
+        buckets.update(featurize(text, SMALL_CFG))
+    assert stats.support == len(buckets)
+    assert stats.bucket_occupancy == len(buckets) / SMALL_CFG.hash_dim
+    # the stats describe one training run and are not part of the model file
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert load_model(path).train_stats is None
+
+
+# --- byte-exact against the dense reference trainer ------------------------------
+
+# With hash_dim 1024 and hash_seed 0, the bigram and the word feature of
+# this text land in one bucket with opposite signs: its feature dict is empty.
+CANCELLING_TEXT = "un"
+# A small alphabet, so that n-grams repeat within and across texts.
+_ALPHABET = "ابتكلمن un"
+
+
+def model_bytes(model: BaselineModel, path) -> bytes:
+    save_model(model, path)
+    return path.read_bytes()
+
+
+def test_cancelling_text_has_no_features():
+    assert featurize(CANCELLING_TEXT, SMALL_CFG) == {}
+
+
+@st.composite
+def training_runs(draw, n_labels: int, l2_lambda: float):
+    labels = [f"L{i}" for i in range(n_labels)]
+    texts = draw(st.lists(st.text(_ALPHABET, max_size=24), max_size=20))
+    rows = [(text, draw(st.sampled_from(labels))) for text in texts]
+    rows += [("", labels[0]), (CANCELLING_TEXT, labels[1]), ("كتاب منكم", labels[-1])]
+    rows = draw(st.permutations(rows))
+    batch_size = draw(st.integers(2, 7).filter(lambda b: len(rows) % b))
+    hyper = HyperParams(
+        learning_rate=draw(st.sampled_from([0.05, 0.5])),
+        batch_size=batch_size,
+        max_seq_len=draw(st.sampled_from([6, 256])),
+        epochs=draw(st.integers(1, 3)),
+        l2_lambda=l2_lambda,
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return rows, hyper
+
+
+@pytest.mark.parametrize("l2_lambda", [0.0, 1e-3])
+@pytest.mark.parametrize("n_labels", [2, 3])
+@settings(
+    max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_train_matches_reference_bytes(tmp_path, l2_lambda, n_labels, data):
+    rows, hyper = data.draw(training_runs(n_labels, l2_lambda))
+    fast = model_bytes(train(rows, hyper, SMALL_CFG), tmp_path / "fast.json")
+    slow = model_bytes(reference_baseline.train(rows, hyper, SMALL_CFG), tmp_path / "slow.json")
+    assert fast == slow
+
+
+@pytest.mark.parametrize("task", ["sarcasm", "sentiment"])
+def test_train_matches_reference_bytes_at_defaults(tmp_path, task):
+    rows = synth_rows({"FALSE": 60, "TRUE": 30}, {"NEG": 30, "NEU": 40, "POS": 20}, seed=3)
+    pairs = [(row["tweet"], row[task]) for row in rows]
+    hyper = HyperParams(epochs=2)
+    fast = model_bytes(train(pairs, hyper), tmp_path / "fast.json")
+    slow = model_bytes(reference_baseline.train(pairs, hyper), tmp_path / "slow.json")
+    assert fast == slow
+
+
+def test_loss_and_gradient_matches_reference_bits():
+    model = tiny_model(n_classes=3, seed=4)
+    texts = ["كتاب جميل", "", CANCELLING_TEXT, "خبر خبر خبر", "abc 123"]
+    batch = [(featurize(t, model.feature_config), f"C{i % 3}") for i, t in enumerate(texts)]
+    for l2 in (0.0, 0.01):
+        got = loss_and_gradient(model, batch, l2)
+        want = reference_baseline.loss_and_gradient(model, batch, l2)
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+
+
 # --- prediction ------------------------------------------------------------------
 
 
@@ -362,4 +456,49 @@ def test_load_rejects_unknown_version(tmp_path):
     path = tmp_path / "model.json"
     path.write_text('{"format_version": 99}', encoding="utf-8")
     with pytest.raises(ValueError, match="version"):
+        load_model(path)
+
+
+def _saved_payload(tmp_path) -> dict:
+    path = tmp_path / "good.json"
+    save_model(tiny_model(n_classes=2), path)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+_bad_array = baseline._encode_array
+
+
+_MALFORMED = {
+    "only a version": lambda p: {"format_version": 1},
+    "not an object": lambda p: [p],
+    "no feature_config": lambda p: {k: v for k, v in p.items() if k != "feature_config"},
+    "no weights": lambda p: {k: v for k, v in p.items() if k != "weights"},
+    "no max_seq_len": lambda p: {k: v for k, v in p.items() if k != "max_seq_len"},
+    "labels a string": lambda p: {**p, "labels": "C0C1"},
+    "label not a string": lambda p: {**p, "labels": ["C0", 1]},
+    "hash_dim a string": lambda p: {**p, "feature_config": {**p["feature_config"], "hash_dim": "1024"}},
+    "ngram range a number": lambda p: {**p, "feature_config": {**p["feature_config"], "char_ngram_range": 3}},
+    "seed a float": lambda p: {**p, "seed": 1.5},
+    "hash_seed negative": lambda p: {**p, "feature_config": {**p["feature_config"], "hash_seed": -1}},
+    "loss history of strings": lambda p: {**p, "loss_history": ["x"]},
+    "weights not an object": lambda p: {**p, "weights": "AAAA"},
+    "weights float32": lambda p: {**p, "weights": _bad_array(np.zeros((2, 2**10), np.float32))},
+    "weights int64": lambda p: {**p, "weights": _bad_array(np.zeros((2, 2**10), np.int64))},
+    "weights too narrow": lambda p: {**p, "weights": _bad_array(np.zeros((2, 2**9)))},
+    "weights one label short": lambda p: {**p, "weights": _bad_array(np.zeros((1, 2**10)))},
+    "bias too long": lambda p: {**p, "bias": _bad_array(np.zeros(3))},
+    "bias a matrix": lambda p: {**p, "bias": _bad_array(np.zeros((2, 1)))},
+    "shape does not match data": lambda p: {**p, "bias": {**p["bias"], "shape": [3]}},
+    "data not base64": lambda p: {**p, "bias": {**p["bias"], "data": "!!!"}},
+    "weights not finite": lambda p: {**p, "weights": _bad_array(np.full((2, 2**10), np.nan))},
+    "bias infinite": lambda p: {**p, "bias": _bad_array(np.array([0.0, np.inf]))},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_load_rejects_malformed_model(tmp_path, case):
+    payload = _MALFORMED[case](_saved_payload(tmp_path))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError):
         load_model(path)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,13 @@ def test_normalize_bad_label_rows_are_data_error(tmp_path):
     bad.write_text("tweet,sarcasm,sentiment\nنص,TRUE,pos\n", encoding="utf-8")
     rc = run("normalize", "--input", str(bad), "--output", str(tmp_path / "o.jsonl"))
     assert rc == EXIT_DATA
+
+
+def test_output_path_that_is_a_directory_is_usage_error(pipeline_dir, capsys):
+    corpus, tmp = pipeline_dir
+    rc = run("normalize", "--input", str(corpus), "--output", str(tmp))
+    assert rc == EXIT_USAGE
+    assert "is a directory" in capsys.readouterr().err
 
 
 def test_normalize_config_env_var(tmp_path, small_corpus, monkeypatch):
@@ -220,6 +228,51 @@ def test_evaluate_length_mismatch_usage_error(trained, tmp_path):
         "evaluate", "--input", str(dv), "--pred", str(preds), "--task", "sentiment"
     )
     assert rc == EXIT_USAGE
+
+
+def test_evaluate_rejects_duplicate_prediction_ids(trained, tmp_path, capsys):
+    tmp, tr, dv, model = trained
+    preds = tmp / "preds.jsonl"
+    assert run("predict", "--model", str(model), "--input", str(dv), "--output", str(preds)) == EXIT_OK
+    lines = preds.read_text(encoding="utf-8").splitlines()
+    last = json.loads(lines[-1])
+    wrong = next(label for label in ("NEG", "NEU", "POS") if label != last["label"])
+    # the last id is labelled twice, first wrongly and then correctly
+    lines[-1:] = [json.dumps({**last, "label": wrong}), json.dumps(last)]
+    preds.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = run("evaluate", "--input", str(dv), "--pred", str(preds), "--task", "sentiment")
+    assert rc == EXIT_DATA
+    assert f"{preds}:{len(lines)}: duplicate id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["5", '{"id": [1], "label": "NEU"}'])
+def test_evaluate_rejects_prediction_line_that_is_no_record(trained, line):
+    tmp, tr, dv, model = trained
+    preds = tmp / "bad_preds.jsonl"
+    preds.write_text(line + "\n", encoding="utf-8")
+    rc = run("evaluate", "--input", str(dv), "--pred", str(preds), "--task", "sentiment")
+    assert rc == EXIT_DATA
+
+
+def test_predict_with_incomplete_model_is_data_error(trained, capsys):
+    tmp, tr, dv, model = trained
+    bad = tmp / "bad_model.json"
+    bad.write_text('{"format_version": 1}', encoding="utf-8")
+    rc = run("predict", "--model", str(bad), "--input", str(dv), "--output", str(tmp / "p.jsonl"))
+    assert rc == EXIT_DATA
+    assert "feature_config" in capsys.readouterr().err
+
+
+def test_train_manifest_records_stats(trained):
+    tmp, tr, dv, model = trained
+    stats = manifest_of(model)["stats"]
+    assert stats["steps"] == 4 * math.ceil(180 / 40)
+    assert len(stats["epoch_loss"]) == len(stats["epoch_s"]) == 4
+    assert stats["epoch_loss"] == json.loads(model.read_text(encoding="utf-8"))["loss_history"]
+    assert stats["featurize_s"] >= 0.0
+    assert 0 < stats["support"] <= 4096
+    assert stats["bucket_occupancy"] == stats["support"] / 4096
 
 
 def test_evaluate_requires_model_or_pred(trained):
