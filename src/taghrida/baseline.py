@@ -16,6 +16,7 @@ import json
 import time
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -113,31 +114,47 @@ class BaselineModel:
             raise ValueError("model parameters must be finite")
 
 
-def _hash_feature(feature: str, seed: int) -> tuple[int, int]:
-    """Deterministic (bucket, sign) for one feature string."""
-    digest = hashlib.blake2b(
-        feature.encode("utf-8"), digest_size=9, key=seed.to_bytes(8, "little")
-    ).digest()
-    bucket = int.from_bytes(digest[:8], "little")
-    sign = 1 if digest[8] & 1 else -1
-    return bucket, sign
+@lru_cache(maxsize=64)
+def _hash_state(prefix: str, seed: int):
+    """Keyed blake2b state that has absorbed `prefix` ("c{n}:" or "w:").
+
+    blake2b hashes as a stream, so a copy of this state updated with a
+    feature's bytes gives the same digest as hashing prefix + feature
+    from scratch, without redoing the key block for every feature.
+    """
+    return hashlib.blake2b(
+        prefix.encode("utf-8"), digest_size=9, key=seed.to_bytes(8, "little")
+    )
 
 
 def featurize(text: str, cfg: FeatureConfig) -> dict[int, float]:
-    """Signed hashed count vector for one text, as {bucket: value}."""
+    """Signed hashed count vector for one text, as {bucket: value}.
+
+    Each feature string ("c{n}:" + char n-gram, "w:" + word) maps to a
+    deterministic (bucket, sign) from its keyed 9-byte blake2b digest:
+    the first 8 bytes (little-endian) select the bucket, the low bit of
+    the last byte the sign.
+    """
     mask = cfg.hash_dim - 1
-    vec: dict[int, float] = {}
     lo, hi = cfg.char_ngram_range
-    for n in range(lo, hi + 1):
-        for i in range(len(text) - n + 1):
-            bucket, sign = _hash_feature(f"c{n}:{text[i : i + n]}", cfg.hash_seed)
-            idx = bucket & mask
-            vec[idx] = vec.get(idx, 0.0) + sign
+    groups = [
+        (
+            _hash_state(f"c{n}:", cfg.hash_seed),
+            [text[i : i + n] for i in range(len(text) - n + 1)],
+        )
+        for n in range(lo, hi + 1)
+    ]
     if cfg.include_word_unigrams:
-        for word in text.split():
-            bucket, sign = _hash_feature(f"w:{word}", cfg.hash_seed)
-            idx = bucket & mask
-            vec[idx] = vec.get(idx, 0.0) + sign
+        groups.append((_hash_state("w:", cfg.hash_seed), text.split()))
+    vec: dict[int, float] = {}
+    for state, grams in groups:
+        for gram in grams:
+            h = state.copy()
+            h.update(gram.encode("utf-8"))
+            digest = h.digest()
+            # mask < 2**64, so the sign byte (the most significant) drops out
+            idx = int.from_bytes(digest, "little") & mask
+            vec[idx] = vec.get(idx, 0.0) + (1.0 if digest[8] & 1 else -1.0)
     return {idx: value for idx, value in vec.items() if value != 0.0}
 
 

@@ -269,10 +269,16 @@ def cmd_predict(args) -> int:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
                 rec_id = obj["id"]
                 text = obj.get("segmented") or obj.get("normalized") or obj["text"]
             except (ValueError, KeyError) as exc:
                 raise DataError(f"{in_path}:{lineno}: {exc}") from None
+            if not isinstance(text, str):
+                raise DataError(
+                    f"{in_path}:{lineno}: text is {type(text).__name__}, expected a string"
+                )
             label, probs = baseline.predict(model, text)
             fh.write(
                 json.dumps(

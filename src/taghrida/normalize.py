@@ -91,36 +91,36 @@ _SENTINELS = {
     "email": ("\ue002", "\ue003"),
     "mention": ("\ue004", "\ue005"),
 }
-_SENTINEL_SCRUB = {ord(c): None for pair in _SENTINELS.values() for c in pair}
+_SENTINEL_CHARS = frozenset(c for pair in _SENTINELS.values() for c in pair)
+_SENTINEL_SCRUB = {ord(c): None for c in _SENTINEL_CHARS}
 
 # A full pipeline pass is repeated until the text stabilizes; real tweets
 # settle after one pass, adversarial interleavings after two or three.
 _MAX_PASSES = 10
 
 
-def _parse_range_line(line: str, lineno: int, source: str) -> tuple[int, int] | None:
-    line = line.split("#", 1)[0].strip()
-    if not line:
-        return None
-    try:
-        lo_s, hi_s = line.split("..")
-        lo, hi = int(lo_s, 16), int(hi_s, 16)
-    except ValueError:
-        raise ValueError(f"{source}:{lineno}: bad range line {line!r}") from None
-    if lo > hi:
-        raise ValueError(f"{source}:{lineno}: empty range {line!r}")
-    return lo, hi
+def _parse_ranges(text: str, source: str) -> tuple[tuple[int, int], ...]:
+    """Parse a removable-codepoint table: one HEXSTART..HEXEND per line,
+    `#` comments. Errors name `source` and the line."""
+    ranges = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            lo_s, hi_s = line.split("..")
+            lo, hi = int(lo_s, 16), int(hi_s, 16)
+        except ValueError:
+            raise ValueError(f"{source}:{lineno}: bad range line {line!r}") from None
+        if lo > hi:
+            raise ValueError(f"{source}:{lineno}: empty range {line!r}")
+        ranges.append((lo, hi))
+    return tuple(ranges)
 
 
 def load_removal_ranges(path: str | Path) -> tuple[tuple[int, int], ...]:
     """Parse a removable-codepoint table: one HEXSTART..HEXEND per line."""
-    text = Path(path).read_text(encoding="utf-8")
-    ranges = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parsed = _parse_range_line(line, lineno, str(path))
-        if parsed:
-            ranges.append(parsed)
-    return tuple(ranges)
+    return _parse_ranges(Path(path).read_text(encoding="utf-8"), str(path))
 
 
 @lru_cache(maxsize=1)
@@ -130,12 +130,7 @@ def default_removal_ranges() -> tuple[tuple[int, int], ...]:
         resources.files("taghrida").joinpath("data/removal_ranges.txt")
         .read_text(encoding="utf-8")
     )
-    ranges = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parsed = _parse_range_line(line, lineno, "removal_ranges.txt")
-        if parsed:
-            ranges.append(parsed)
-    return tuple(ranges)
+    return _parse_ranges(text, "removal_ranges.txt")
 
 
 DEFAULT_PLACEHOLDER_URL = "[ رابط ]"
@@ -327,19 +322,49 @@ def remove_unwanted_chars(
 
 
 def _remove_unwanted(text: str, config: NormalizationConfig, keep: frozenset) -> str:
-    ranges = config.removal_ranges
-    out = []
-    for ch in text:
-        if ch in keep:
-            out.append(ch)
-            continue
-        if config.strip_tatweel_diacritics and _TATWEEL_DIACRITICS_RE.match(ch):
-            continue
-        code = ord(ch)
-        if any(lo <= code <= hi for lo, hi in ranges) and not _protected(ch, code):
-            continue
-        out.append(ch)
-    return "".join(out)
+    return text.translate(
+        _removal_table(config.removal_ranges, config.strip_tatweel_diacritics, keep)
+    )
+
+
+# Decisions stored per table; tweets use a few thousand distinct
+# codepoints, and the cap keeps a text spanning all of Unicode from
+# growing a table without limit (past it, decisions are made uncached).
+_TABLE_MAX_ENTRIES = 1 << 15
+
+
+class _RemovalTable(dict):
+    """A `str.translate` table that decides each codepoint on first
+    sight: it maps to itself (keep) or to None (drop), and the decision
+    is stored. The table only caches the per-character rule, so the
+    output is the same as applying the rule character by character."""
+
+    def __init__(self, ranges, strip_tatweel_diacritics: bool, keep: frozenset):
+        super().__init__()
+        self.ranges = ranges
+        self.strip_tatweel_diacritics = strip_tatweel_diacritics
+        self.keep = keep
+
+    def __missing__(self, code: int) -> int | None:
+        ch = chr(code)
+        if ch in self.keep:
+            decision = code
+        elif self.strip_tatweel_diacritics and _TATWEEL_DIACRITICS_RE.match(ch):
+            decision = None
+        elif any(lo <= code <= hi for lo, hi in self.ranges) and not _protected(ch, code):
+            decision = None
+        else:
+            decision = code
+        if len(self) < _TABLE_MAX_ENTRIES:
+            self[code] = decision
+        return decision
+
+
+# Keyed by value, not by config identity: `normalize(text)` without a
+# config builds a fresh NormalizationConfig on every call.
+@lru_cache(maxsize=8)
+def _removal_table(ranges, strip_tatweel_diacritics: bool, keep: frozenset) -> _RemovalTable:
+    return _RemovalTable(ranges, strip_tatweel_diacritics, keep)
 
 
 _PUNCT_RE = regex.compile(r"\p{P}")
@@ -402,7 +427,6 @@ def normalize(text: str, config: NormalizationConfig | None = None) -> Normalize
     current = text.translate(_SENTINEL_SCRUB)
     counts: Counter = Counter()
     applied: dict[str, None] = {}
-    keep = frozenset(c for pair in _SENTINELS.values() for c in pair)
 
     for _ in range(_MAX_PASSES):
         before_pass = current
@@ -417,7 +441,7 @@ def normalize(text: str, config: NormalizationConfig | None = None) -> Normalize
                 applied["entity_replace"] = None
             current = rewritten
         if config.unwanted_chars:
-            rewritten = _remove_unwanted(current, config, keep)
+            rewritten = _remove_unwanted(current, config, _SENTINEL_CHARS)
             if rewritten != current:
                 applied["unwanted_chars"] = None
             current = rewritten

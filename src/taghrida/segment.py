@@ -18,6 +18,7 @@ enclitic per token, and surface characters are never rewritten, so
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import DataError
@@ -85,10 +86,24 @@ class CliticRules:
         parts = self._split_into_entries(entry, exclude=entry)
         return parts if parts else (entry,)
 
+    # Derived once per rules object. cached_property stores the value in
+    # the instance __dict__, so the frozen fields, equality and hash are
+    # those of the three fields alone.
+    @cached_property
+    def _by_length(self) -> tuple[str, ...]:
+        """Proclitic entries, longest first (stable for equal lengths)."""
+        return tuple(sorted(self.proclitics, key=len, reverse=True))
+
+    @cached_property
+    def _strips(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """(entry, proclitic_units(entry)) pairs, longest entry first:
+        the order in which `segment_token` tries proclitic strips."""
+        return tuple((entry, self.proclitic_units(entry)) for entry in self._by_length)
+
     def _split_into_entries(self, s: str, exclude: str) -> tuple[str, ...] | None:
         if not s:
             return ()
-        for candidate in sorted(self.proclitics, key=len, reverse=True):
+        for candidate in self._by_length:
             if candidate == exclude or not s.startswith(candidate):
                 continue
             rest = self._split_into_entries(s[len(candidate) :], exclude)
@@ -202,7 +217,7 @@ def segment_token(token: str, rules: CliticRules, lexicon: Lexicon) -> Segmented
         return SegmentedToken(surface=token, stem=token)
 
     min_len = rules.min_stem_len
-    by_length = sorted(rules.proclitics, key=len, reverse=True)
+    strips = rules._strips
 
     def hit(stem: str) -> bool:
         return len(stem) >= min_len and stem in lexicon
@@ -216,8 +231,7 @@ def segment_token(token: str, rules: CliticRules, lexicon: Lexicon) -> Segmented
         return None
 
     def search(pros: tuple[str, ...], rest: str, budget: int) -> SegmentedToken | None:
-        for entry in by_length:
-            units = rules.proclitic_units(entry)
+        for entry, units in strips:
             if len(units) > budget or not rest.startswith(entry):
                 continue
             new_rest = rest[len(entry) :]
@@ -239,8 +253,8 @@ def segment_token(token: str, rules: CliticRules, lexicon: Lexicon) -> Segmented
 
     # Lexicon miss: peel at most one atomic proclitic off a long-enough
     # remainder; anything else stays whole.
-    for entry in by_length:
-        if len(rules.proclitic_units(entry)) != 1:
+    for entry, units in strips:
+        if len(units) != 1:
             continue
         if token.startswith(entry) and len(token) - len(entry) >= min_len:
             return SegmentedToken(

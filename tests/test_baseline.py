@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_baseline
+import reference_preprocess
 from conftest import separable_examples, synth_rows
 from taghrida import baseline
 from taghrida.baseline import (
@@ -71,6 +72,34 @@ def test_featurize_counts_accumulate():
     # the same bigram twice contributes |value| 2 in its bucket
     vec = featurize("aaa", FeatureConfig(char_ngram_range=(2, 2), include_word_unigrams=False))
     assert sorted(abs(v) for v in vec.values()) == [2.0]
+
+
+feature_configs = st.builds(
+    FeatureConfig,
+    char_ngram_range=st.tuples(st.integers(1, 8), st.integers(1, 8)).map(lambda r: tuple(sorted(r))),
+    include_word_unigrams=st.booleans(),
+    hash_dim=st.sampled_from([2**10, 2**12, 2**18, 2**20]),
+    hash_seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 1, 2**64 - 1])),
+)
+feature_text = st.text(
+    alphabet=st.one_of(st.characters(), st.sampled_from("كتاب والجميل ab\n")), max_size=60
+)
+
+
+@given(feature_text, feature_configs)
+@settings(max_examples=300, deadline=None)
+def test_featurize_matches_reference_in_order(text, cfg):
+    # ordered items: the order feeds the packed rows and the np.add.at order
+    want = list(reference_preprocess.featurize(text, cfg).items())
+    assert list(featurize(text, cfg).items()) == want
+
+
+def test_featurize_hash_state_does_not_carry_across_seeds():
+    text = "والكتاب جميل جدا abc"
+    for seed in (7, 2**64 - 1, 7):
+        cfg = FeatureConfig(hash_dim=2**18, hash_seed=seed)
+        want = list(reference_preprocess.featurize(text, cfg).items())
+        assert list(featurize(text, cfg).items()) == want
 
 
 def test_feature_config_validation():

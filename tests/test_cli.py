@@ -264,6 +264,19 @@ def test_predict_with_incomplete_model_is_data_error(trained, capsys):
     assert "feature_config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line", ["5", "[1]", '"x"', '{"id": 1, "text": 5}', '{"id": 1, "segmented": ["a"]}']
+)
+def test_predict_rejects_line_that_is_no_text_record(trained, line, capsys):
+    tmp, tr, dv, model = trained
+    inp = tmp / "bad_input.jsonl"
+    inp.write_text('{"id": 0, "text": "نص"}\n' + line + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = run("predict", "--model", str(model), "--input", str(inp), "--output", str(tmp / "p.jsonl"))
+    assert rc == EXIT_DATA
+    assert f"{inp}:2: " in capsys.readouterr().err
+
+
 def test_train_manifest_records_stats(trained):
     tmp, tr, dv, model = trained
     stats = manifest_of(model)["stats"]

@@ -7,13 +7,19 @@ boundaries, spaces) and are asserted byte-exactly.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 import regex
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_preprocess
 from taghrida.normalize import (
+    _TABLE_MAX_ENTRIES,
     NormalizationConfig,
+    _remove_unwanted,
+    _removal_table,
     collapse_repeats,
     collapse_spaces,
     default_removal_ranges,
@@ -264,6 +270,16 @@ def test_removal_ranges_file_roundtrip(tmp_path):
     assert default_removal_ranges()  # packaged table loads
 
 
+@pytest.mark.parametrize(
+    "line, message", [("1F600-1F64F", "bad range line"), ("1F64F..1F600", "empty range")]
+)
+def test_removal_ranges_file_errors_name_file_and_line(tmp_path, line, message):
+    path = tmp_path / "ranges.txt"
+    path.write_text(f"# header\n{line}\n")
+    with pytest.raises(ValueError, match=regex.escape(f"{path}:2: {message}")):
+        load_removal_ranges(path)
+
+
 # --- property tests ---------------------------------------------------------
 
 ARABIC_LETTERS = "ابتثجحخدذرزسشصضطظعغفقكلمنهويىءةؤئأإآ"
@@ -400,3 +416,58 @@ def test_arabic_letters_preserved(text):
     expected = arabic_multiset(stripped)
     got = arabic_multiset(strip_placeholders(out))
     assert got == expected
+
+
+# --- fast path against the per-character reference --------------------------
+
+# Private-use sentinels, tatweel, Arabic diacritics, emoji and controls,
+# mixed into arbitrary Unicode so each decision branch is drawn often.
+SPECIAL_CHARS = (
+    "\ue000\ue001\ue002\ue003\ue004\ue005\ue0ff"  # sentinels, another private-use char
+    "\u0640\u064b\u064c\u064e\u0651\u0652\u0670\u06d6"  # tatweel, diacritics
+    "😂🔥❤\u200d\x00\x7f@:/."
+)
+any_text = st.text(
+    alphabet=st.one_of(st.characters(), st.sampled_from(SPECIAL_CHARS + ARABIC_LETTERS)),
+    max_size=80,
+)
+codepoint = st.one_of(
+    st.integers(min_value=0, max_value=0x10FFFF),
+    st.sampled_from([0x0600, 0x0640, 0x064B, 0x0670, 0xE000, 0xE005, 0x1F600]),
+)
+removal_ranges = st.one_of(
+    st.just(default_removal_ranges()),
+    st.just(((0, 0x10FFFF),)),
+    st.lists(st.tuples(codepoint, codepoint).map(lambda r: tuple(sorted(r))), max_size=6).map(tuple),
+)
+configs = st.builds(
+    NormalizationConfig,
+    strip_tatweel_diacritics=st.booleans(),
+    removal_ranges=removal_ranges,
+)
+
+
+@given(any_text, configs, st.frozensets(st.sampled_from(SPECIAL_CHARS + "ab😂"), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_remove_unwanted_matches_reference(text, config, keep):
+    want = reference_preprocess.remove_unwanted(text, config, keep)
+    assert _remove_unwanted(text, config, keep) == want
+    no_keep = reference_preprocess.remove_unwanted(text, config, frozenset())
+    assert remove_unwanted_chars(text, config) == no_keep
+
+
+@given(any_text, configs)
+@settings(max_examples=200, deadline=None)
+def test_normalize_matches_reference(text, config):
+    with mock.patch("taghrida.normalize._remove_unwanted", reference_preprocess.remove_unwanted):
+        want = normalize(text, config)
+    assert normalize(text, config) == want
+
+
+def test_removal_table_stays_bounded():
+    text = "".join(map(chr, range(0x20000, 0x20000 + 2 * _TABLE_MAX_ENTRIES)))
+    config = NormalizationConfig()
+    want = reference_preprocess.remove_unwanted(text, config, frozenset())
+    assert remove_unwanted_chars(text, config) == want
+    table = _removal_table(config.removal_ranges, config.strip_tatweel_diacritics, frozenset())
+    assert len(table) <= _TABLE_MAX_ENTRIES

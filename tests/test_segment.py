@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_preprocess
 from taghrida.errors import DataError
 from taghrida.normalize import NormalizationConfig, normalize
 from taghrida.segment import (
+    DEFAULT_ENCLITICS,
+    DEFAULT_PROCLITICS,
     CliticRules,
     Lexicon,
     SegmentedToken,
@@ -222,3 +228,59 @@ def test_roundtrip_after_normalization(rules, lexicon):
         norm = normalize(text, cfg).normalized
         seg = segment_text(norm, rules, lexicon)
         assert desegment(seg) == norm
+
+
+# --- cached strips against the per-step reference ----------------------------
+
+# Any subsequence of a valid proclitic order is valid: no entry is a
+# suffix of a later one.
+PROCLITIC_POOL = ("وبال",) + DEFAULT_PROCLITICS + ("س",)
+ENCLITIC_POOL = DEFAULT_ENCLITICS + ("هما", "ني")
+LEXICON = default_lexicon()
+STEMS = sorted(LEXICON.stems)
+
+
+def ordered_subset(pool):
+    return st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True).map(
+        lambda picked: tuple(entry for entry in pool if entry in picked)
+    )
+
+
+clitic_rules = st.builds(
+    CliticRules,
+    proclitics=ordered_subset(PROCLITIC_POOL),
+    enclitics=ordered_subset(ENCLITIC_POOL),
+    min_stem_len=st.integers(min_value=1, max_value=3),
+)
+composed_token = st.tuples(
+    st.lists(st.sampled_from(PROCLITIC_POOL), max_size=2),
+    st.one_of(st.sampled_from(STEMS), st.text(alphabet=ARABIC_LETTERS, min_size=1, max_size=6)),
+    st.lists(st.sampled_from(ENCLITIC_POOL), max_size=1),
+).map(lambda parts: "".join(parts[0]) + parts[1] + "".join(parts[2]))
+composed_text = st.lists(
+    st.one_of(composed_token, st.sampled_from(["[ رابط ]", "2021", "(", "#وسم", "abc"])),
+    max_size=8,
+).map(" ".join)
+
+
+@given(composed_text, clitic_rules, st.sets(st.integers(min_value=1, max_value=4), max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_segment_text_matches_reference(text, rules, cuts):
+    # Token tails as extra stems: a stem that itself starts with a clitic
+    # makes the order of the strips matter.
+    tails = {token[cut:] for token in text.split() for cut in cuts if len(token) > cut}
+    lexicon = Lexicon(stems=LEXICON.stems | tails)
+    want = reference_preprocess.segment_text(text, rules, lexicon)
+    assert segment_text(text, rules, lexicon) == want
+    for entry in rules.proclitics:
+        assert rules.proclitic_units(entry) == reference_preprocess.proclitic_units(rules, entry)
+
+
+def test_derived_strips_leave_fields_equality_and_hash(rules, lexicon):
+    fresh = CliticRules()
+    segment_text("والكتاب كتابها", rules, lexicon)  # derives the cached strips
+    assert [f.name for f in dataclasses.fields(rules)] == ["proclitics", "enclitics", "min_stem_len"]
+    assert rules == fresh and hash(rules) == hash(fresh)
+    assert repr(rules) == repr(fresh)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rules.min_stem_len = 3
