@@ -11,7 +11,6 @@ JSON container with bit-exact weights.
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import time
 from array import array
@@ -27,7 +26,7 @@ from .metrics import EvalReport, confusion_matrix, evaluation_report
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,11 @@ class FeatureConfig:
         lo, hi = self.char_ngram_range
         if not 1 <= lo <= hi <= 8:
             raise ValueError(f"char_ngram_range must satisfy 1 <= lo <= hi <= 8, got {lo, hi}")
-        if self.hash_dim < 2**10 or self.hash_dim & (self.hash_dim - 1):
-            raise ValueError(f"hash_dim must be a power of two >= 1024, got {self.hash_dim}")
+        # at most 2**63, so that the bucket bits leave out the sign bit
+        if not 2**10 <= self.hash_dim <= 2**63 or self.hash_dim & (self.hash_dim - 1):
+            raise ValueError(
+                f"hash_dim must be a power of two in [2**10, 2**63], got {self.hash_dim}"
+            )
         if not 0 <= self.hash_seed < 2**64:
             raise ValueError(f"hash_seed must be in [0, 2**64), got {self.hash_seed}")
 
@@ -114,48 +116,85 @@ class BaselineModel:
             raise ValueError("model parameters must be finite")
 
 
-@lru_cache(maxsize=64)
-def _hash_state(prefix: str, seed: int):
-    """Keyed blake2b state that has absorbed `prefix` ("c{n}:" or "w:").
+# The feature hash; README "Baseline classifier" states it in full.
+_MULTIPLIER = 0xC2B2AE3D27D4EB4F  # odd, so it has an inverse mod 2**64
+_GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's increment
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_WORD_TAG = 0  # char n-grams are tagged with n, 1..8
 
-    blake2b hashes as a stream, so a copy of this state updated with a
-    feature's bytes gives the same digest as hashing prefix + feature
-    from scratch, without redoing the key block for every feature.
-    """
-    return hashlib.blake2b(
-        prefix.encode("utf-8"), digest_size=9, key=seed.to_bytes(8, "little")
-    )
+
+def _finalize(h: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, in place on the uint64 array `h`."""
+    h ^= h >> np.uint64(30)
+    h *= _MIX1
+    h ^= h >> np.uint64(27)
+    h *= _MIX2
+    h ^= h >> np.uint64(31)
+    return h
+
+
+@lru_cache(maxsize=64)
+def _salts(seed: int) -> np.ndarray:
+    """salts[tag]: the (tag + 1)-th output of splitmix64 seeded with `seed`."""
+    return _finalize(np.array([(seed + (tag + 1) * _GOLDEN) % 2**64 for tag in range(9)], np.uint64))
+
+
+@lru_cache(maxsize=4)
+def _powers(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """_MULTIPLIER**i and _MULTIPLIER**-i mod 2**64 for i in [0, size)."""
+    tables = []
+    for base in (_MULTIPLIER, pow(_MULTIPLIER, -1, 2**64)):
+        table = np.ones(size, np.uint64)
+        np.cumprod(np.full(size - 1, base, np.uint64), out=table[1:])
+        tables.append(table)
+    return tables[0], tables[1]
 
 
 def featurize(text: str, cfg: FeatureConfig) -> dict[int, float]:
-    """Signed hashed count vector for one text, as {bucket: value}.
+    """Signed hashed count vector for one text, as {bucket: value} in
+    ascending bucket order.
 
-    Each feature string ("c{n}:" + char n-gram, "w:" + word) maps to a
-    deterministic (bucket, sign) from its keyed 9-byte blake2b digest:
-    the first 8 bytes (little-endian) select the bucket, the low bit of
-    the last byte the sign.
+    Each char n-gram and each word of `text.split()` has the polynomial
+    hash P = sum_j (c_j + 1) * _MULTIPLIER**j mod 2**64 over its
+    codepoints c_j. It is XORed with a salt per (n or word, hash_seed)
+    and put through the splitmix64 finalizer: the low bits of the result
+    give the bucket and the top bit the sign (set: -1). P is read off
+    prefix sums of the whole text, (G[s + n] - G[s]) * _MULTIPLIER**-s.
+
+    Known weakness: polynomial hashes mod 2**64 have structural
+    collision families (Thue-Morse strings, which need words of
+    thousands of characters), and the finalizer, a bijection, keeps
+    them. They cost accuracy, not safety.
     """
-    mask = cfg.hash_dim - 1
+    words = text.split() if cfg.include_word_unigrams else []
+    n_chars = len(text)
+    # "surrogatepass": every str hashes, lone surrogates included
+    codes = np.frombuffer(
+        (text + "".join(words)).encode("utf-32-le", "surrogatepass"), np.uint32
+    )
+    powers, inverses = _powers(max(1024, 1 << len(codes).bit_length()))
+    prefix = np.zeros(len(codes) + 1, np.uint64)
+    np.cumsum((codes + np.uint64(1)) * powers[: len(codes)], out=prefix[1:])
+    salts = _salts(cfg.hash_seed)
     lo, hi = cfg.char_ngram_range
-    groups = [
-        (
-            _hash_state(f"c{n}:", cfg.hash_seed),
-            [text[i : i + n] for i in range(len(text) - n + 1)],
-        )
-        for n in range(lo, hi + 1)
-    ]
-    if cfg.include_word_unigrams:
-        groups.append((_hash_state("w:", cfg.hash_seed), text.split()))
-    vec: dict[int, float] = {}
-    for state, grams in groups:
-        for gram in grams:
-            h = state.copy()
-            h.update(gram.encode("utf-8"))
-            digest = h.digest()
-            # mask < 2**64, so the sign byte (the most significant) drops out
-            idx = int.from_bytes(digest, "little") & mask
-            vec[idx] = vec.get(idx, 0.0) + (1.0 if digest[8] & 1 else -1.0)
-    return {idx: value for idx, value in vec.items() if value != 0.0}
+    parts = []
+    for n in range(lo, min(hi, n_chars) + 1):
+        count = n_chars + 1 - n
+        parts.append(((prefix[n : n_chars + 1] - prefix[:count]) * inverses[:count]) ^ salts[n])
+    if words:
+        # the words follow the text in `codes`, back to back
+        lengths = np.fromiter(map(len, words), np.int64, len(words))
+        ends = np.cumsum(lengths) + n_chars
+        starts = ends - lengths
+        parts.append(((prefix[ends] - prefix[starts]) * inverses[starts]) ^ salts[_WORD_TAG])
+    if not parts:
+        return {}
+    h = _finalize(np.concatenate(parts))
+    buckets, where = np.unique(h & np.uint64(cfg.hash_dim - 1), return_inverse=True)
+    sums = np.bincount(where, weights=1.0 - 2.0 * (h >> np.uint64(63)), minlength=len(buckets))
+    keep = sums != 0.0
+    return dict(zip(buckets[keep].tolist(), sums[keep].tolist()))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -320,6 +359,8 @@ def train(
     v_w = np.zeros_like(weights)
     m_b = np.zeros_like(bias)
     v_b = np.zeros_like(bias)
+    scratch_w = (np.empty_like(weights), np.empty_like(weights))
+    scratch_b = (np.empty_like(bias), np.empty_like(bias))
     # The penalty's ||W||^2 is summed over the squares of the full
     # (n_classes, hash_dim) matrix, flattened: summing the support alone
     # would add in another order and can move the loss by an ulp.
@@ -348,17 +389,27 @@ def train(
             step += 1
             bc1 = 1.0 - _ADAM_BETA1**step
             bc2 = 1.0 - _ADAM_BETA2**step
-            for grad, param_m, param_v, param in (
-                (grad_w, m_w, v_w, weights),
-                (grad_b, m_b, v_b, bias),
+            for grad, param_m, param_v, param, (tmp, den) in (
+                (grad_w, m_w, v_w, weights, scratch_w),
+                (grad_b, m_b, v_b, bias, scratch_b),
             ):
+                # The operations of m += (1 - b1) g, v += (1 - b2) g**2 and
+                # param -= lr (m / bc1) / (sqrt(v / bc2) + eps) in their
+                # written order, so the result is bitwise the same, but
+                # into two reused buffers instead of a new array each.
                 param_m *= _ADAM_BETA1
-                param_m += (1.0 - _ADAM_BETA1) * grad
+                param_m += np.multiply(grad, 1.0 - _ADAM_BETA1, out=tmp)
                 param_v *= _ADAM_BETA2
-                param_v += (1.0 - _ADAM_BETA2) * grad**2
-                param -= hyper.learning_rate * (param_m / bc1) / (
-                    np.sqrt(param_v / bc2) + hyper.adam_epsilon
-                )
+                np.square(grad, out=tmp)
+                tmp *= 1.0 - _ADAM_BETA2
+                param_v += tmp
+                np.divide(param_m, bc1, out=tmp)
+                tmp *= hyper.learning_rate
+                np.divide(param_v, bc2, out=den)
+                np.sqrt(den, out=den)
+                den += hyper.adam_epsilon
+                tmp /= den
+                param -= tmp
             if squares is not None:
                 squares[support_flat] = (weights**2).ravel()
         history.append(float(np.mean(batch_losses)))
@@ -441,6 +492,11 @@ def load_model(path: str | Path) -> BaselineModel:
     if not isinstance(payload, dict):
         raise ValueError("model file must hold a JSON object")
     version = payload.get("format_version")
+    if version == 1:
+        raise ValueError(
+            "model format version 1 hashes features differently from this version "
+            f"(format {MODEL_FORMAT_VERSION}); retrain the model"
+        )
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
     fc = _field(payload, "feature_config", dict)

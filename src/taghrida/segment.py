@@ -17,12 +17,13 @@ enclitic per token, and surface characters are never rewritten, so
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 from .errors import DataError
-from .normalize import is_arabic_char
+from .normalize import ARABIC_BLOCKS
 
 DEFAULT_PROCLITICS = ("وال", "بال", "فال", "كال", "لل", "ال", "و", "ف", "ب", "ك", "ل")
 DEFAULT_ENCLITICS = ("ها", "هم", "هن", "كم", "كن", "نا", "ه", "ك", "ي")
@@ -30,6 +31,11 @@ DEFAULT_ENCLITICS = ("ها", "هم", "هن", "كم", "كن", "نا", "ه", "ك",
 # Maximum proclitic units per token; composite entries like وال count as
 # their expansion (و + ال).
 MAX_PROCLITIC_UNITS = 2
+
+# One or more characters of the Arabic blocks.
+_ARABIC_RUN = re.compile(
+    "[" + "".join(f"{re.escape(chr(lo))}-{re.escape(chr(hi))}" for lo, hi in ARABIC_BLOCKS) + "]+"
+)
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,7 @@ class CliticRules:
             if not entries:
                 raise ValueError(f"{name} must be non-empty")
             for entry in entries:
-                if not entry or not all(is_arabic_char(c) for c in entry):
+                if not _ARABIC_RUN.fullmatch(entry):
                     raise ValueError(f"{name} entry {entry!r} is not a non-empty Arabic string")
         for i, earlier in enumerate(self.proclitics):
             for later in self.proclitics[i + 1 :]:
@@ -181,15 +187,7 @@ def default_lexicon() -> Lexicon:
 def _is_segmentable(token: str) -> bool:
     # Only pure Arabic-script tokens containing at least one letter are
     # candidates; anything else (digits, brackets, Latin) passes through.
-    if not token:
-        return False
-    has_letter = False
-    for ch in token:
-        if not is_arabic_char(ch):
-            return False
-        if ch.isalpha():
-            has_letter = True
-    return has_letter
+    return _ARABIC_RUN.fullmatch(token) is not None and any(map(str.isalpha, token))
 
 
 def _longest_enclitic(token: str, rules: CliticRules) -> str | None:

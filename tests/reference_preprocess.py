@@ -1,27 +1,33 @@
-"""Reference preprocessing: the per-item code paths that the
-normalization table, the cached clitic strips and the reusable hash
-states replaced, kept unchanged as test oracles.
+"""Reference preprocessing and features: the per-item code paths that
+the normalization table, the cached clitic strips and the vectorized
+feature hash replaced, kept as test oracles.
 
 - `remove_unwanted` decides every character of every text afresh;
+- `is_segmentable` tests every character of a token against each
+  Arabic block in turn;
 - `proclitic_units` re-sorts the proclitics at every recursion step and
   `segment_token` re-derives every entry's units at every search step;
-- `featurize` builds a new keyed blake2b hash for every feature.
+- `featurize` computes the feature hash of model format 2 from its
+  definition: one polynomial per n-gram or word with Python ints mod
+  2**64, no prefix sums and no inverse powers.
 
 The production code must give the same output as these for any input.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 from taghrida.baseline import FeatureConfig
-from taghrida.normalize import _TATWEEL_DIACRITICS_RE, NormalizationConfig, _protected
+from taghrida.normalize import (
+    _TATWEEL_DIACRITICS_RE,
+    NormalizationConfig,
+    _protected,
+    is_arabic_char,
+)
 from taghrida.segment import (
     MAX_PROCLITIC_UNITS,
     CliticRules,
     Lexicon,
     SegmentedToken,
-    _is_segmentable,
     _longest_enclitic,
 )
 
@@ -47,6 +53,20 @@ def remove_unwanted(text: str, config: NormalizationConfig, keep: frozenset) -> 
 # --- segment ------------------------------------------------------------------
 
 
+def is_segmentable(token: str) -> bool:
+    # Only pure Arabic-script tokens containing at least one letter are
+    # candidates; anything else (digits, brackets, Latin) passes through.
+    if not token:
+        return False
+    has_letter = False
+    for ch in token:
+        if not is_arabic_char(ch):
+            return False
+        if ch.isalpha():
+            has_letter = True
+    return has_letter
+
+
 def proclitic_units(rules: CliticRules, entry: str) -> tuple[str, ...]:
     parts = _split_into_entries(rules, entry, exclude=entry)
     return parts if parts else (entry,)
@@ -65,7 +85,7 @@ def _split_into_entries(rules: CliticRules, s: str, exclude: str) -> tuple[str, 
 
 
 def segment_token(token: str, rules: CliticRules, lexicon: Lexicon) -> SegmentedToken:
-    if not _is_segmentable(token):
+    if not is_segmentable(token):
         return SegmentedToken(surface=token, stem=token)
 
     min_len = rules.min_stem_len
@@ -131,29 +151,33 @@ def segment_text(text: str, rules: CliticRules, lexicon: Lexicon) -> str:
 # --- featurize ----------------------------------------------------------------
 
 
-def _hash_feature(feature: str, seed: int) -> tuple[int, int]:
-    """Deterministic (bucket, sign) for one feature string."""
-    digest = hashlib.blake2b(
-        feature.encode("utf-8"), digest_size=9, key=seed.to_bytes(8, "little")
-    ).digest()
-    bucket = int.from_bytes(digest[:8], "little")
-    sign = 1 if digest[8] & 1 else -1
-    return bucket, sign
+_MASK64 = 2**64 - 1
+
+
+def _splitmix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _feature_hash(gram: str, tag: int, seed: int) -> int:
+    """The 64-bit hash of a char n-gram (tag n) or a word (tag 0)."""
+    poly = sum((ord(ch) + 1) * pow(0xC2B2AE3D27D4EB4F, j, 2**64) for j, ch in enumerate(gram))
+    salt = _splitmix64((seed + (tag + 1) * 0x9E3779B97F4A7C15) & _MASK64)
+    return _splitmix64((poly & _MASK64) ^ salt)
 
 
 def featurize(text: str, cfg: FeatureConfig) -> dict[int, float]:
-    """Signed hashed count vector for one text, as {bucket: value}."""
-    mask = cfg.hash_dim - 1
-    vec: dict[int, float] = {}
+    """Signed hashed count vector for one text, as {bucket: value} in
+    ascending bucket order: the low bits of a feature's hash give its
+    bucket, the top bit its sign (set: -1)."""
     lo, hi = cfg.char_ngram_range
-    for n in range(lo, hi + 1):
-        for i in range(len(text) - n + 1):
-            bucket, sign = _hash_feature(f"c{n}:{text[i : i + n]}", cfg.hash_seed)
-            idx = bucket & mask
-            vec[idx] = vec.get(idx, 0.0) + sign
+    grams = [(text[i : i + n], n) for n in range(lo, hi + 1) for i in range(len(text) - n + 1)]
     if cfg.include_word_unigrams:
-        for word in text.split():
-            bucket, sign = _hash_feature(f"w:{word}", cfg.hash_seed)
-            idx = bucket & mask
-            vec[idx] = vec.get(idx, 0.0) + sign
-    return {idx: value for idx, value in vec.items() if value != 0.0}
+        grams += [(word, 0) for word in text.split()]
+    vec: dict[int, float] = {}
+    for gram, tag in grams:
+        h = _feature_hash(gram, tag, cfg.hash_seed)
+        idx = h & (cfg.hash_dim - 1)
+        vec[idx] = vec.get(idx, 0.0) + (-1.0 if h >> 63 else 1.0)
+    return {idx: vec[idx] for idx in sorted(vec) if vec[idx] != 0.0}

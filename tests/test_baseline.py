@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference_baseline
@@ -78,15 +78,22 @@ feature_configs = st.builds(
     FeatureConfig,
     char_ngram_range=st.tuples(st.integers(1, 8), st.integers(1, 8)).map(lambda r: tuple(sorted(r))),
     include_word_unigrams=st.booleans(),
-    hash_dim=st.sampled_from([2**10, 2**12, 2**18, 2**20]),
+    hash_dim=st.sampled_from([2**10, 2**12, 2**18, 2**20, 2**63]),
     hash_seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 1, 2**64 - 1])),
 )
 feature_text = st.text(
-    alphabet=st.one_of(st.characters(), st.sampled_from("كتاب والجميل ab\n")), max_size=60
+    alphabet=st.one_of(
+        st.characters(),
+        st.characters(categories=["Cs"]),  # lone surrogates
+        st.sampled_from("كتاب والجميل ab\n"),
+    ),
+    max_size=60,
 )
 
 
 @given(feature_text, feature_configs)
+@example(chr(0xD800) + " abc", SMALL_CFG)
+@example(chr(0xD83D) + chr(0xDE00) + " " + chr(0x10FFFF), SMALL_CFG)
 @settings(max_examples=300, deadline=None)
 def test_featurize_matches_reference_in_order(text, cfg):
     # ordered items: the order feeds the packed rows and the np.add.at order
@@ -95,8 +102,9 @@ def test_featurize_matches_reference_in_order(text, cfg):
 
 
 def test_featurize_hash_state_does_not_carry_across_seeds():
+    # the salts are cached per seed: switching seeds must not reuse them
     text = "والكتاب جميل جدا abc"
-    for seed in (7, 2**64 - 1, 7):
+    for seed in (7, 2**64 - 1, 7, 0):
         cfg = FeatureConfig(hash_dim=2**18, hash_seed=seed)
         want = list(reference_preprocess.featurize(text, cfg).items())
         assert list(featurize(text, cfg).items()) == want
@@ -111,6 +119,9 @@ def test_feature_config_validation():
         FeatureConfig(hash_dim=1000)  # not a power of two
     with pytest.raises(ValueError):
         FeatureConfig(hash_dim=512)  # too small
+    with pytest.raises(ValueError):
+        FeatureConfig(hash_dim=2**64)  # the bucket would overlap the sign bit
+    assert FeatureConfig(hash_dim=2**63).hash_dim == 2**63
 
 
 def test_hyper_params_validation():
@@ -305,8 +316,10 @@ def test_train_stats(tmp_path):
 # --- byte-exact against the dense reference trainer ------------------------------
 
 # With hash_dim 1024 and hash_seed 0, the bigram and the word feature of
-# this text land in one bucket with opposite signs: its feature dict is empty.
-CANCELLING_TEXT = "un"
+# this text land in one bucket with opposite signs: its feature dict is
+# empty. Found by featurizing every two-character text over ASCII letters,
+# digits and the Arabic letters U+0621-U+064A at SMALL_CFG.
+CANCELLING_TEXT = "XG"
 # A small alphabet, so that n-grams repeat within and across texts.
 _ALPHABET = "ابتكلمن un"
 
@@ -498,7 +511,7 @@ _bad_array = baseline._encode_array
 
 
 _MALFORMED = {
-    "only a version": lambda p: {"format_version": 1},
+    "only a version": lambda p: {"format_version": baseline.MODEL_FORMAT_VERSION},
     "not an object": lambda p: [p],
     "no feature_config": lambda p: {k: v for k, v in p.items() if k != "feature_config"},
     "no weights": lambda p: {k: v for k, v in p.items() if k != "weights"},

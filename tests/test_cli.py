@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from taghrida import cli
+from taghrida import baseline, cli
 from taghrida.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE
 
 
@@ -258,10 +258,59 @@ def test_evaluate_rejects_prediction_line_that_is_no_record(trained, line):
 def test_predict_with_incomplete_model_is_data_error(trained, capsys):
     tmp, tr, dv, model = trained
     bad = tmp / "bad_model.json"
-    bad.write_text('{"format_version": 1}', encoding="utf-8")
+    bad.write_text(json.dumps({"format_version": baseline.MODEL_FORMAT_VERSION}), encoding="utf-8")
     rc = run("predict", "--model", str(bad), "--input", str(dv), "--output", str(tmp / "p.jsonl"))
     assert rc == EXIT_DATA
     assert "feature_config" in capsys.readouterr().err
+
+
+def test_predict_with_format_1_model_asks_to_retrain(trained, capsys):
+    tmp, tr, dv, model = trained
+    old = tmp / "v1_model.json"
+    payload = json.loads(model.read_text(encoding="utf-8"))
+    old.write_text(json.dumps({**payload, "format_version": 1}), encoding="utf-8")
+    capsys.readouterr()
+    rc = run("predict", "--model", str(old), "--input", str(dv), "--output", str(tmp / "p.jsonl"))
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "version 1" in err and "retrain" in err
+    assert "Traceback" not in err
+
+
+def test_predict_accepts_lone_surrogate(trained):
+    tmp, tr, dv, model = trained
+    inp, out = tmp / "surrogate.jsonl", tmp / "p.jsonl"
+    # json.dumps escapes the lone surrogate as \ud800, as a JSON writer may
+    inp.write_text(json.dumps({"id": 1, "text": chr(0xD800) + " abc"}) + "\n", encoding="utf-8")
+    assert run("predict", "--model", str(model), "--input", str(inp), "--output", str(out)) == EXIT_OK
+    (line,) = out.read_text(encoding="utf-8").splitlines()
+    assert json.loads(line)["id"] == 1
+
+
+def test_train_and_predict_featurize_once_per_text(trained, monkeypatch):
+    # perfbench's traced run wraps the module attribute baseline.featurize
+    # and reads its (text, cfg) and result for every text
+    tmp, tr, dv, model = trained
+    calls = []
+    featurize = baseline.featurize
+
+    def counting(text, cfg):
+        calls.append(text)
+        return featurize(text, cfg)
+
+    monkeypatch.setattr(baseline, "featurize", counting)
+    rc = run(
+        "train", "--input", str(tr), "--output", str(tmp / "again.json"),
+        "--task", "sentiment", "--hash-dim", "4096", "--epochs", "2", "--seed", "5",
+    )
+    assert rc == EXIT_OK
+    train_texts = [json.loads(l)["normalized"] for l in tr.read_text(encoding="utf-8").splitlines()]
+    assert calls == train_texts
+    calls.clear()
+    preds = tmp / "preds.jsonl"
+    assert run("predict", "--model", str(model), "--input", str(dv), "--output", str(preds)) == EXIT_OK
+    dev_texts = [json.loads(l)["normalized"] for l in dv.read_text(encoding="utf-8").splitlines()]
+    assert calls == dev_texts
 
 
 @pytest.mark.parametrize(

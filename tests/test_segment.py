@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 import reference_preprocess
 from taghrida.errors import DataError
-from taghrida.normalize import NormalizationConfig, normalize
+from taghrida.normalize import ARABIC_BLOCKS, NormalizationConfig, normalize
 from taghrida.segment import (
+    _is_segmentable,
     DEFAULT_ENCLITICS,
     DEFAULT_PROCLITICS,
     CliticRules,
@@ -274,6 +275,24 @@ def test_segment_text_matches_reference(text, rules, cuts):
     assert segment_text(text, rules, lexicon) == want
     for entry in rules.proclitics:
         assert rules.proclitic_units(entry) == reference_preprocess.proclitic_units(rules, entry)
+
+
+BLOCK_EDGES = [chr(code) for lo, hi in ARABIC_BLOCKS for code in (lo - 1, lo, hi, hi + 1)]
+
+
+@given(
+    st.text(
+        alphabet=st.one_of(
+            st.characters(),
+            st.characters(categories=["Cs"]),
+            st.sampled_from(BLOCK_EDGES + list(ARABIC_LETTERS + "٠١٢،؟ـ")),
+        ),
+        max_size=8,
+    )
+)
+@settings(max_examples=500, deadline=None)
+def test_is_segmentable_matches_reference(token):
+    assert _is_segmentable(token) == reference_preprocess.is_segmentable(token)
 
 
 def test_derived_strips_leave_fields_equality_and_hash(rules, lexicon):
