@@ -14,10 +14,11 @@ import base64
 import json
 import time
 from array import array
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -93,6 +94,8 @@ class TrainStats:
     steps: int
     epoch_s: tuple[float, ...]  # seconds per epoch
     featurize_s: float
+    gradient_s: float  # batch gathers and the loss/gradient kernel, all steps
+    optimizer_s: float  # Adam updates and the penalty's squares, all steps
     support: int  # buckets with a non-zero value in some training text
     bucket_occupancy: float  # support / hash_dim
 
@@ -151,9 +154,56 @@ def _powers(size: int) -> tuple[np.ndarray, np.ndarray]:
     return tables[0], tables[1]
 
 
-def featurize(text: str, cfg: FeatureConfig) -> dict[int, float]:
-    """Signed hashed count vector for one text, as {bucket: value} in
-    ascending bucket order.
+class Features(Mapping):
+    """The hashed features of one text: a read-only {bucket: value}
+    mapping over two read-only arrays, `idx` (int64 buckets in ascending
+    order) and `vals` (their float64 values, none zero). It iterates,
+    compares and looks up like the dict it stands for; callers that
+    only need the numbers read the arrays."""
+
+    __slots__ = ("idx", "vals")
+
+    def __init__(self, idx: np.ndarray, vals: np.ndarray):
+        idx.flags.writeable = vals.flags.writeable = False
+        self.idx = idx
+        self.vals = vals
+
+    def __len__(self) -> int:
+        return len(self.idx)
+
+    def __iter__(self):
+        return iter(self.idx.tolist())
+
+    def __getitem__(self, bucket) -> float:
+        if isinstance(bucket, (int, np.integer)) and 0 <= bucket < 2**63:
+            i = int(np.searchsorted(self.idx, bucket))
+            if i < len(self.idx) and self.idx[i] == bucket:
+                return float(self.vals[i])
+        raise KeyError(bucket)
+
+    def items(self):
+        return _FeatureItems(self)
+
+    def values(self):
+        return _FeatureValues(self)
+
+    def __repr__(self) -> str:
+        return f"Features({dict(self.items())!r})"
+
+
+class _FeatureItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping.idx.tolist(), self._mapping.vals.tolist())
+
+
+class _FeatureValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping.vals.tolist())
+
+
+def featurize(text: str, cfg: FeatureConfig) -> Features:
+    """Signed hashed count vector for one text, as a read-only
+    {bucket: value} mapping in ascending bucket order (see `Features`).
 
     Each char n-gram and each word of `text.split()` has the polynomial
     hash P = sum_j (c_j + 1) * _MULTIPLIER**j mod 2**64 over its
@@ -189,12 +239,13 @@ def featurize(text: str, cfg: FeatureConfig) -> dict[int, float]:
         starts = ends - lengths
         parts.append(((prefix[ends] - prefix[starts]) * inverses[starts]) ^ salts[_WORD_TAG])
     if not parts:
-        return {}
+        return Features(np.empty(0, np.int64), np.empty(0))
     h = _finalize(np.concatenate(parts))
     buckets, where = np.unique(h & np.uint64(cfg.hash_dim - 1), return_inverse=True)
     sums = np.bincount(where, weights=1.0 - 2.0 * (h >> np.uint64(63)), minlength=len(buckets))
     keep = sums != 0.0
-    return dict(zip(buckets[keep].tolist(), sums[keep].tolist()))
+    # hash_dim <= 2**63, so every bucket fits in an int64
+    return Features(buckets[keep].view(np.int64), sums[keep])
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -203,12 +254,10 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def _logits(weights: np.ndarray, bias: np.ndarray, features: Mapping[int, float]) -> np.ndarray:
+def _logits(weights: np.ndarray, bias: np.ndarray, features: Features) -> np.ndarray:
     z = bias.copy()
-    if features:
-        idxs = np.fromiter(features.keys(), dtype=np.int64, count=len(features))
-        vals = np.fromiter(features.values(), dtype=np.float64, count=len(features))
-        z += weights[:, idxs] @ vals
+    if len(features):
+        z += weights[:, features.idx] @ features.vals
     return z
 
 
@@ -217,14 +266,15 @@ def _pack(texts: Iterable[str], cfg: FeatureConfig, max_seq_len: int):
 
     Returns (ptr, buckets, values): the features of text i are
     buckets[ptr[i]:ptr[i+1]] with values[ptr[i]:ptr[i+1]], in the order
-    `featurize` yields them. Each dict is dropped once it is packed, so
-    memory holds 16 bytes per feature instead of every dict at once.
+    `featurize` yields them. Each text's arrays are copied into the
+    buffers and dropped, so memory holds 16 bytes per feature instead of
+    every text's arrays at once.
     """
     ptr, buckets, values = array("q", [0]), array("q"), array("d")
     for text in texts:
         features = featurize(text[:max_seq_len], cfg)
-        buckets.extend(features)
-        values.extend(features.values())
+        buckets.frombytes(memoryview(features.idx).cast("B"))
+        values.frombytes(memoryview(features.vals).cast("B"))
         ptr.append(len(buckets))
     return (
         np.frombuffer(ptr, dtype=np.int64),
@@ -262,29 +312,39 @@ def _batch_loss_and_gradient(
     weight matrix, which `weights` may hold only some columns of.
     """
     n_rows = len(targets)
-    inv_n = 1.0 / n_rows
-    errs = np.empty((n_rows, len(bias)))
-    grad_b = np.zeros_like(bias)
-    loss = 0.0
-    bounds = ptr.tolist()
-    for r, target in enumerate(targets):
-        lo, hi = bounds[r], bounds[r + 1]
-        z = bias.copy()
-        if hi > lo:
-            z += weights[:, cols[lo:hi]] @ vals[lo:hi]
-        probs = _softmax(z)
-        loss -= np.log(max(probs[target], 1e-300)) * inv_n
-        probs[target] -= 1.0
-        probs *= inv_n
-        grad_b += probs
-        errs[r] = probs
-    # One scatter for the batch. ufunc.at adds in index order, so every
-    # cell sums its contributions in example order, starting from 0.0.
     n_labels, n_cols = weights.shape
-    grad_w = np.zeros_like(weights)
+    inv_n = 1.0 / n_rows
+    # Only the product W[:, features] @ values runs per row: its rounding
+    # depends on the BLAS call, and a column slice of one gather makes
+    # the same call as the row's own copy of those columns would.
+    gathered = weights[:, cols]
+    z = np.zeros((n_rows, n_labels))
+    bounds = ptr.tolist()
+    for r in range(n_rows):
+        lo, hi = bounds[r], bounds[r + 1]
+        if hi > lo:
+            np.matmul(gathered[:, lo:hi], vals[lo:hi], out=z[r])
+    # An empty row gets 0.0 + bias, which can differ from bias only in
+    # the sign of a zero; the softmax maps both to the same bits.
+    z += bias
+    errs = _softmax(z)
+    rows = np.arange(n_rows)
+    picked = np.log(np.maximum(errs[rows, targets], 1e-300)) * inv_n
+    loss = 0.0
+    for term in picked.tolist():  # in row order
+        loss -= term
+    errs[rows, targets] -= 1.0
+    errs *= inv_n
+    # accumulate adds the rows in order; no entry is -0.0, so starting
+    # from row 0 gives the same bits as starting from 0.0
+    grad_b = np.add.accumulate(errs, axis=0)[-1]
+    # One scatter for the batch. bincount adds in input order, so every
+    # cell sums its contributions in example order, starting from 0.0.
     flat = (np.arange(n_labels)[:, None] * n_cols + cols).ravel()
-    rows = np.repeat(np.arange(n_rows), np.diff(ptr))
-    np.add.at(grad_w.reshape(-1), flat, (errs[rows].T * vals).ravel())
+    contrib = (errs[np.repeat(rows, np.diff(ptr))].T * vals).ravel()
+    # with no features at all, bincount returns int64 zeros
+    grad_w = np.bincount(flat, weights=contrib, minlength=n_labels * n_cols)
+    grad_w = grad_w.astype(np.float64, copy=False).reshape(n_labels, n_cols)
     if l2_lambda:
         loss += 0.5 * l2_lambda * sq_norm
         grad_w += l2_lambda * weights
@@ -369,22 +429,26 @@ def train(
 
     rng = np.random.default_rng(hyper.seed)
     step = 0
+    sq_norm = 0.0  # the weights start at zero
+    gradient_s = optimizer_s = 0.0
     history, epoch_s = [], []
     for _ in range(hyper.epochs):
         epoch_started = time.perf_counter()
         order = rng.permutation(len(train_set))
         batch_losses = []
         for start in range(0, len(train_set), hyper.batch_size):
+            step_started = time.perf_counter()
             rows = order[start : start + hyper.batch_size]
-            sq_norm = float(squares.sum()) if squares is not None else 0.0
             loss, grad_w, grad_b = _batch_loss_and_gradient(
                 weights,
                 bias,
                 *_take_rows(ptr, cols, vals, rows),
-                targets[rows].tolist(),
+                targets[rows],
                 hyper.l2_lambda,
                 sq_norm,
             )
+            kernel_done = time.perf_counter()
+            gradient_s += kernel_done - step_started
             batch_losses.append(loss)
             step += 1
             bc1 = 1.0 - _ADAM_BETA1**step
@@ -412,6 +476,8 @@ def train(
                 param -= tmp
             if squares is not None:
                 squares[support_flat] = (weights**2).ravel()
+                sq_norm = float(squares.sum())
+            optimizer_s += time.perf_counter() - kernel_done
         history.append(float(np.mean(batch_losses)))
         epoch_s.append(time.perf_counter() - epoch_started)
 
@@ -430,6 +496,8 @@ def train(
             steps=step,
             epoch_s=tuple(epoch_s),
             featurize_s=featurize_s,
+            gradient_s=gradient_s,
+            optimizer_s=optimizer_s,
             support=len(support),
             bucket_occupancy=len(support) / cfg.hash_dim,
         ),

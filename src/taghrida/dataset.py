@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +69,6 @@ class LabeledDataset:
 
     records: tuple[Record, ...]
     source: str = "<memory>"
-    loaded_at: float = field(default_factory=time.time)
 
     def __len__(self) -> int:
         return len(self.records)

@@ -110,6 +110,38 @@ def test_featurize_hash_state_does_not_carry_across_seeds():
         assert list(featurize(text, cfg).items()) == want
 
 
+def test_features_is_a_read_only_mapping_like_the_reference_dict():
+    for text, cfg in [
+        ("والكتاب جميل جدا abc", SMALL_CFG),
+        ("خبر خبر خبر", FeatureConfig(hash_dim=2**18, hash_seed=3)),
+        ("ا", SMALL_CFG),
+    ]:
+        want = reference_preprocess.featurize(text, cfg)
+        got = featurize(text, cfg)
+        assert isinstance(got, baseline.Features)
+        assert list(got.items()) == list(want.items())
+        assert list(got) == list(want) and list(got.values()) == list(want.values())
+        assert len(got) == len(want) and got == want and dict(got) == want
+        for bucket, value in want.items():
+            assert bucket in got and got[bucket] == value
+        missing = next(b for b in range(cfg.hash_dim) if b not in want)
+        for key in (missing, -1, 2**63, 2**64, "a", 1.5, None):
+            assert key not in got
+            with pytest.raises(KeyError):
+                got[key]
+        with pytest.raises(TypeError):
+            got[missing] = 1.0
+        with pytest.raises(ValueError):
+            got.vals[0] = 5.0  # the arrays are read-only too
+        # what perfbench's traced observer reads from every result
+        buckets = set()
+        buckets.update(got)
+        assert buckets == set(want) and len(got) == len(want)
+    empty = featurize(CANCELLING_TEXT, SMALL_CFG)
+    assert empty == {} and {} == empty and not empty and len(empty) == 0
+    assert empty.idx.dtype == np.int64 and empty.vals.dtype == np.float64
+
+
 def test_feature_config_validation():
     with pytest.raises(ValueError):
         FeatureConfig(char_ngram_range=(0, 3))
@@ -385,6 +417,77 @@ def test_loss_and_gradient_matches_reference_bits():
         assert got[0] == want[0]
         assert got[1].tobytes() == want[1].tobytes()
         assert got[2].tobytes() == want[2].tobytes()
+
+
+def assert_same_bits(got, want):
+    assert got[0] == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.01])
+def test_loss_and_gradient_edge_batches_match_reference_bits(l2):
+    model = tiny_model(n_classes=3, seed=6)
+    cfg = model.feature_config
+    batches = {
+        "all rows empty": [
+            ({}, "C0"),
+            (featurize("", cfg), "C1"),
+            (featurize(CANCELLING_TEXT, cfg), "C2"),
+        ],
+        "one row": [(featurize("كتاب جميل", cfg), "C2")],
+        "one empty row": [({}, "C1")],
+        # plain dicts, keys out of order, buckets shared across rows
+        "plain dicts": [
+            ({900: 2.0, 3: -1.0, 77: 0.5}, "C0"),
+            ({}, "C2"),
+            ({77: -3.0, 900: 1.0}, "C1"),
+            ({3: 1.0}, "C0"),
+        ],
+    }
+    for batch in batches.values():
+        got = loss_and_gradient(model, batch, l2)
+        assert_same_bits(got, reference_baseline.loss_and_gradient(model, batch, l2))
+
+
+def test_loss_and_gradient_clamp_matches_reference_bits():
+    # the target's probability underflows to 0.0, so the loss reads the
+    # 1e-300 clamp: -log(1e-300) / 2 per such row
+    cfg = FeatureConfig(hash_dim=2**10)
+    feats = featurize("خبر", cfg)
+    weights = np.zeros((2, cfg.hash_dim))
+    weights[1, feats.idx] = 1000.0 * feats.vals
+    model = BaselineModel(
+        labels=("A", "B"), weights=weights, bias=np.array([0.0, 900.0]),
+        feature_config=cfg, max_seq_len=256, seed=0,
+    )
+    batch = [(feats, "A"), ({}, "A")]
+    got = loss_and_gradient(model, batch)
+    assert got[0] == pytest.approx(-math.log(1e-300))
+    assert_same_bits(got, reference_baseline.loss_and_gradient(model, batch))
+
+
+def test_matmul_on_a_gather_slice_matches_a_fresh_gather():
+    # The training kernel gathers a batch's columns once and multiplies
+    # each row's column slice; the bits equal a per-row gather only while
+    # BLAS rounds a strided slice as it rounds a fresh copy. A numpy or
+    # BLAS upgrade that breaks this fails here.
+    rng = np.random.default_rng(0)
+    sizes = list(range(18)) + [31, 32, 33, 63, 64, 65, 127, 128, 129, 600]
+    sizes += rng.integers(0, 601, size=120).tolist()
+    for n_labels in (2, 3):
+        weights = rng.normal(size=(n_labels, 4096))
+        perm = rng.permutation(len(sizes))
+        ptr = np.concatenate([[0], np.cumsum(np.array(sizes)[perm])])
+        cols = rng.integers(0, 4096, size=ptr[-1])
+        vals = rng.normal(size=ptr[-1]) * rng.integers(1, 4, size=ptr[-1])
+        gathered = weights[:, cols]
+        out = np.zeros((len(sizes), n_labels))
+        for r, (lo, hi) in enumerate(zip(ptr[:-1], ptr[1:])):
+            np.matmul(gathered[:, lo:hi], vals[lo:hi], out=out[r])
+            want = weights[:, cols[lo:hi]] @ vals[lo:hi]
+            assert out[r].tobytes() == want.tobytes(), (n_labels, hi - lo, lo)
 
 
 # --- prediction ------------------------------------------------------------------

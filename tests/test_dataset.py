@@ -159,6 +159,13 @@ def test_split_bad_ratio(small_corpus):
         dataset.stratified_split(dataset.LabeledDataset(records=()), 0.9, seed=0)
 
 
+def test_two_loads_of_one_file_compare_equal(tmp_path, small_corpus):
+    assert dataset.load_csv(small_corpus) == dataset.load_csv(small_corpus)
+    out = tmp_path / "out.jsonl"
+    dataset.export_jsonl(dataset.load_csv(small_corpus), out)
+    assert dataset.load_jsonl(out) == dataset.load_jsonl(out)
+
+
 # --- jsonl export / load ------------------------------------------------------
 
 
