@@ -18,13 +18,20 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
 from . import baseline, dataset, metrics
 from .errors import DataError, SchemaError, TaghridaError
-from .normalize import NormalizationConfig, normalize
-from .segment import CliticRules, default_lexicon, load_lexicon, segment_text
+from .normalize import ENTITY_KINDS, RULE_ORDER, NormalizationConfig, normalize
+from .segment import (
+    CliticRules,
+    default_lexicon,
+    load_lexicon,
+    segment_stats,
+    segment_text,
+)
 
 CONFIG_ENV_VAR = "TAGHRIDA_CONFIG"
 
@@ -60,6 +67,11 @@ def _write_manifest(
         manifest["stats"] = stats
     path = primary_output.with_name(primary_output.name + ".manifest.json")
     path.write_text(json.dumps(manifest, ensure_ascii=False, indent=2), encoding="utf-8")
+
+
+def _warn_if_empty(count: int, in_path: Path, out_path: Path) -> None:
+    if count == 0:
+        print(f"warning: {in_path} holds no records; {out_path} is empty", file=sys.stderr)
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -141,10 +153,14 @@ def cmd_normalize(args) -> int:
         ds = dataset.load_csv(in_path, schema=_parse_columns(args.columns))
     else:
         ds = dataset.load_jsonl(in_path)
-    normalized = [normalize(rec.text, config).normalized for rec in ds]
-    out_ds = dataset.with_fields(ds, normalized=normalized)
+    results = [normalize(rec.text, config) for rec in ds]
+    out_ds = dataset.with_fields(ds, normalized=[r.normalized for r in results])
     out_path = Path(args.output)
     count = dataset.export_jsonl(out_ds, out_path, with_normalized=True)
+    changed = Counter(rule for r in results for rule in r.rules_applied)
+    entities: Counter = Counter()
+    for r in results:
+        entities.update(r.entity_counts)
     _write_manifest(
         out_path,
         "normalize",
@@ -153,7 +169,13 @@ def cmd_normalize(args) -> int:
         [str(out_path)],
         None,
         started,
+        {
+            "records": count,
+            "changed_by_rule": {rule: changed[rule] for rule in RULE_ORDER},
+            "entities": {kind: entities[kind] for kind in ENTITY_KINDS},
+        },
     )
+    _warn_if_empty(count, in_path, out_path)
     print(f"normalized {count} records -> {out_path}")
     return EXIT_OK
 
@@ -182,7 +204,9 @@ def cmd_segment(args) -> int:
         [str(out_path)],
         None,
         started,
+        {"records": count, **segment_stats(rules, lexicon)},
     )
+    _warn_if_empty(count, in_path, out_path)
     print(f"segmented {count} records -> {out_path}")
     return EXIT_OK
 
@@ -261,27 +285,27 @@ def cmd_predict(args) -> int:
     in_path = _require_file(args.input, "input JSONL")
     out_path = Path(args.output)
     count = 0
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for lineno, line in enumerate(
-            in_path.read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-                rec_id = obj["id"]
-                text = obj.get("segmented") or obj.get("normalized") or obj["text"]
-            except (ValueError, KeyError) as exc:
-                raise DataError(f"{in_path}:{lineno}: {exc}") from None
-            if not isinstance(text, str):
-                raise DataError(
-                    f"{in_path}:{lineno}: text is {type(text).__name__}, expected a string"
-                )
-            label, probs = baseline.predict(model, text)
-            fh.write(
-                json.dumps(
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            for lineno, line in enumerate(
+                in_path.read_text(encoding="utf-8").splitlines(), start=1
+            ):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                    if not isinstance(obj, dict):
+                        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+                    rec_id = obj["id"]
+                    text = obj.get("segmented") or obj.get("normalized") or obj["text"]
+                except (ValueError, KeyError) as exc:
+                    raise DataError(f"{in_path}:{lineno}: {exc}") from None
+                if not isinstance(text, str):
+                    raise DataError(
+                        f"{in_path}:{lineno}: text is {type(text).__name__}, expected a string"
+                    )
+                label, probs = baseline.predict(model, text)
+                out_line = json.dumps(
                     {
                         "id": rec_id,
                         "label": label,
@@ -289,9 +313,19 @@ def cmd_predict(args) -> int:
                     },
                     ensure_ascii=False,
                 )
-                + "\n"
-            )
-            count += 1
+                try:
+                    out_line.encode("utf-8")
+                except UnicodeEncodeError:
+                    # a JSON escape such as \ud800 in the id decodes to a lone surrogate
+                    raise DataError(
+                        f"{in_path}:{lineno}: id {rec_id!r} holds a lone surrogate, "
+                        "which UTF-8 output cannot encode"
+                    ) from None
+                fh.write(out_line + "\n")
+                count += 1
+    except DataError:
+        out_path.unlink(missing_ok=True)
+        raise
     _write_manifest(
         out_path,
         "predict",
@@ -301,6 +335,7 @@ def cmd_predict(args) -> int:
         None,
         started,
     )
+    _warn_if_empty(count, in_path, out_path)
     print(f"predicted {count} records -> {out_path}")
     return EXIT_OK
 

@@ -147,29 +147,49 @@ def load_csv(path: str | Path, schema: dict[str, str] | None = None) -> LabeledD
     return LabeledDataset(records=tuple(records), source=str(path))
 
 
+def _require_utf8(rec: Record) -> None:
+    """Refuse a record that `export_jsonl` could not write: a JSON
+    escape such as \\ud800 decodes to a lone surrogate, which UTF-8
+    cannot encode."""
+    for name in ("text", "normalized", "segmented", "dialect"):
+        value = getattr(rec, name)
+        if isinstance(value, str):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ValueError(
+                    f"{name} holds a lone surrogate U+{ord(value[exc.start]):04X}, "
+                    "which UTF-8 output cannot encode"
+                ) from None
+
+
 def load_jsonl(path: str | Path) -> LabeledDataset:
-    """Load a dataset from the JSONL interchange format."""
+    """Load a dataset from the JSONL interchange format. A record whose
+    text fields hold a lone surrogate is a bad line."""
     path = Path(path)
     records = []
     problems = []
-    for lineno, line in enumerate(
-        path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    # Strict UTF-8 decoding yields no lone surrogate; only a \u escape
+    # can spell one, so a file without "\u" needs no check per record.
+    has_escapes = any("\\u" in line for line in lines)
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            records.append(
-                Record(
-                    id=int(obj["id"]),
-                    text=obj["text"],
-                    sarcasm=obj["sarcasm"],
-                    sentiment=obj["sentiment"],
-                    dialect=obj.get("dialect"),
-                    normalized=obj.get("normalized"),
-                    segmented=obj.get("segmented"),
-                )
+            rec = Record(
+                id=int(obj["id"]),
+                text=obj["text"],
+                sarcasm=obj["sarcasm"],
+                sentiment=obj["sentiment"],
+                dialect=obj.get("dialect"),
+                normalized=obj.get("normalized"),
+                segmented=obj.get("segmented"),
             )
+            if has_escapes:
+                _require_utf8(rec)
+            records.append(rec)
         except (ValueError, KeyError, TypeError) as exc:
             problems.append(f"line {lineno}: {exc}")
     if problems:

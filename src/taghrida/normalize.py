@@ -61,6 +61,18 @@ _MENTION_RE = regex.compile(r"@\w{1,15}")
 # letter plus its diacritic counts as one unit.
 _GRAPHEME_RE = regex.compile(r"\X")
 
+
+# A cluster followed by `max_run` literal copies of itself finds every
+# run the grapheme loop would cut: `search` tries \X at each cluster start
+# the loop sees, and \1{max_run} matches the copies that follow. It also
+# matches where the loop cuts nothing (\1 can match the base letter of a
+# longer cluster, as in "eee\u0301"); the loop then runs and returns the
+# text unchanged, so such a match costs time, never output.
+@lru_cache(maxsize=8)
+def _repeat_run_re(max_run: int) -> regex.Pattern:
+    return regex.compile(rf"(\X)\1{{{max_run}}}")
+
+
 # Boundary insertion. AR = Arabic-script letter, LD = ASCII letter or any
 # decimal digit, ND = decimal digit outside the Arabic-Indic sets.
 _AR = r"[\p{Arabic}&&\p{L}]"
@@ -75,6 +87,10 @@ _BOUNDARY_RES = (
     regex.compile(rf"(?<={_NOT_SPACE_OR_ND})(?={_ND})", regex.V1),
     regex.compile(rf"(?<={_ND})(?={_NOT_SPACE_OR_ND})", regex.V1),
 )
+# Every pattern above needs a round bracket or an LD character (ND is
+# part of LD) to match, and a space it inserts is none of them: a text
+# without these characters comes back unchanged.
+_BOUNDARY_TRIGGER_RE = regex.compile(r"[()A-Za-z\p{Nd}]")
 
 _SPACE_RUN_RE = regex.compile(r"\s+")
 
@@ -91,8 +107,19 @@ _SENTINELS = {
     "email": ("\ue002", "\ue003"),
     "mention": ("\ue004", "\ue005"),
 }
+ENTITY_KINDS = tuple(_SENTINELS)
 _SENTINEL_CHARS = frozenset(c for pair in _SENTINELS.values() for c in pair)
 _SENTINEL_SCRUB = {ord(c): None for c in _SENTINEL_CHARS}
+
+# The pipeline order of the rules, by the names `rules_applied` uses.
+RULE_ORDER = (
+    "markup_strip",
+    "entity_replace",
+    "unwanted_chars",
+    "repeat_collapse",
+    "boundary_insert",
+    "space_collapse",
+)
 
 # A full pipeline pass is repeated until the text stabilizes; real tweets
 # settle after one pass, adversarial interleavings after two or three.
@@ -137,15 +164,7 @@ DEFAULT_PLACEHOLDER_URL = "[ رابط ]"
 DEFAULT_PLACEHOLDER_EMAIL = "[ بريد ]"
 DEFAULT_PLACEHOLDER_MENTION = "[ مستخدم ]"
 
-_BOOL_KEYS = (
-    "markup_strip",
-    "unwanted_chars",
-    "repeat_collapse",
-    "space_collapse",
-    "boundary_insert",
-    "entity_replace",
-    "strip_tatweel_diacritics",
-)
+_BOOL_KEYS = RULE_ORDER + ("strip_tatweel_diacritics",)
 
 
 @dataclass(frozen=True)
@@ -384,6 +403,8 @@ def collapse_repeats(text: str, max_run: int) -> str:
     """Truncate runs of an identical grapheme cluster to `max_run`."""
     if max_run < 1:
         raise ValueError(f"max_run must be >= 1, got {max_run}")
+    if not _repeat_run_re(max_run).search(text):
+        return text
     graphemes = _GRAPHEME_RE.findall(text)
     out = []
     prev = None
@@ -400,6 +421,8 @@ def insert_boundaries(text: str) -> str:
     """Space out Latin letters, digits and round brackets from their
     neighbors: one space per qualifying boundary, none where whitespace
     already separates the pair."""
+    if not _BOUNDARY_TRIGGER_RE.search(text):
+        return text
     for pattern in _BOUNDARY_RES:
         text = pattern.sub(" ", text)
     return text
@@ -472,18 +495,10 @@ def normalize(text: str, config: NormalizationConfig | None = None) -> Normalize
         for sentinel in pair:
             current = current.replace(sentinel, placeholders[kind])
 
-    rule_order = (
-        "markup_strip",
-        "entity_replace",
-        "unwanted_chars",
-        "repeat_collapse",
-        "boundary_insert",
-        "space_collapse",
-    )
     return NormalizedText(
         original=original,
         normalized=current,
-        rules_applied=tuple(r for r in rule_order if r in applied),
+        rules_applied=tuple(r for r in RULE_ORDER if r in applied),
         entity_counts=dict(counts),
     )
 

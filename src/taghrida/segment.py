@@ -45,11 +45,36 @@ class Lexicon:
     stems: frozenset[str]
     source: str = "<memory>"
 
+    def __post_init__(self):
+        # Hashable and immutable whatever the caller passed: segment_text
+        # keys its memo by lexicon value.
+        object.__setattr__(self, "stems", frozenset(self.stems))
+
     def __contains__(self, stem: str) -> bool:
         return stem in self.stems
 
     def __len__(self) -> int:
         return len(self.stems)
+
+
+# Tokens whose rendering one memo keeps. Past the cap a token not yet
+# kept is segmented on every occurrence, so a text of endless distinct
+# tokens cannot grow the memo without limit.
+_MEMO_MAX_ENTRIES = 1 << 18
+
+
+class _Memo:
+    """What `segment_text` did with one rules object and one lexicon:
+    the rendered segmentation of each token it met (up to
+    `_MEMO_MAX_ENTRIES` of them) and the counts `segment_stats` reports."""
+
+    __slots__ = ("rendered", "tokens", "distinct_tokens", "placeholder_spans")
+
+    def __init__(self):
+        self.rendered: dict[str, str] = {}
+        self.tokens = 0
+        self.distinct_tokens = 0
+        self.placeholder_spans = 0
 
 
 @dataclass(frozen=True)
@@ -105,6 +130,21 @@ class CliticRules:
         """(entry, proclitic_units(entry)) pairs, longest entry first:
         the order in which `segment_token` tries proclitic strips."""
         return tuple((entry, self.proclitic_units(entry)) for entry in self._by_length)
+
+    @cached_property
+    def _memos(self) -> dict[Lexicon, _Memo]:
+        """`segment_text`'s memo for the lexicon it last met (see `_memo`)."""
+        return {}
+
+    def _memo(self, lexicon: Lexicon) -> _Memo:
+        memos = self._memos
+        memo = memos.get(lexicon)
+        if memo is None:
+            # One lexicon at a time: two lexicons never share entries,
+            # and one rules object holds at most one bounded memo.
+            memos.clear()
+            memo = memos[lexicon] = _Memo()
+        return memo
 
     def _split_into_entries(self, s: str, exclude: str) -> tuple[str, ...] | None:
         if not s:
@@ -267,18 +307,51 @@ def segment_text(text: str, rules: CliticRules, lexicon: Lexicon) -> str:
     Placeholder spans of the form "[ word ]" pass through verbatim;
     everything else goes through `segment_token` and is rendered with
     `+` markers. Tokens are rejoined with single spaces.
+
+    A token's rendering depends only on the token, the rules and the
+    lexicon, so it is computed once per distinct token and kept in a
+    memo that lives on `rules`, keyed by `lexicon`.
     """
+    memo = rules._memo(lexicon)
+    rendered = memo.rendered
     tokens = text.split()
+    n = len(tokens)
     out = []
+    spans = 0
     i = 0
-    while i < len(tokens):
-        if tokens[i] == "[" and i + 2 < len(tokens) and tokens[i + 2] == "]":
+    while i < n:
+        token = tokens[i]
+        if token == "[" and i + 2 < n and tokens[i + 2] == "]":
             out.extend(tokens[i : i + 3])
+            spans += 1
             i += 3
             continue
-        out.append(segment_token(tokens[i], rules, lexicon).rendered())
+        piece = rendered.get(token)
+        if piece is None:
+            piece = segment_token(token, rules, lexicon).rendered()
+            memo.distinct_tokens += 1
+            if len(rendered) < _MEMO_MAX_ENTRIES:
+                rendered[token] = piece
+        out.append(piece)
         i += 1
+    memo.tokens += n - 3 * spans
+    memo.placeholder_spans += spans
     return " ".join(out)
+
+
+def segment_stats(rules: CliticRules, lexicon: Lexicon) -> dict[str, int]:
+    """What `segment_text` has done with `rules` and `lexicon` since
+    `rules` was made or last met another lexicon: `tokens` segmented
+    (placeholder spans excluded), `distinct_tokens` among them (each is
+    segmented once while the memo holds fewer than `_MEMO_MAX_ENTRIES`
+    tokens; past that, a token met again is segmented and counted again)
+    and `placeholder_spans` passed through."""
+    memo = rules._memos.get(lexicon) or _Memo()
+    return {
+        "tokens": memo.tokens,
+        "distinct_tokens": memo.distinct_tokens,
+        "placeholder_spans": memo.placeholder_spans,
+    }
 
 
 def desegment(text: str) -> str:

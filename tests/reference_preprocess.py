@@ -3,10 +3,14 @@ the normalization table, the cached clitic strips and the vectorized
 feature hash replaced, kept as test oracles.
 
 - `remove_unwanted` decides every character of every text afresh;
+- `collapse_repeats` walks the grapheme clusters of every text, and
+  `insert_boundaries` runs all six boundary substitutions on every
+  text, with no pre-check that the text can change;
 - `is_segmentable` tests every character of a token against each
   Arabic block in turn;
 - `proclitic_units` re-sorts the proclitics at every recursion step and
-  `segment_token` re-derives every entry's units at every search step;
+  `segment_token` re-derives every entry's units at every search step,
+  and `segment_text` segments every token afresh, with no memo;
 - `featurize` computes the feature hash of model format 2 from its
   definition: one polynomial per n-gram or word with Python ints mod
   2**64, no prefix sums and no inverse powers.
@@ -16,8 +20,11 @@ The production code must give the same output as these for any input.
 
 from __future__ import annotations
 
+import regex
+
 from taghrida.baseline import FeatureConfig
 from taghrida.normalize import (
+    _BOUNDARY_RES,
     _TATWEEL_DIACRITICS_RE,
     NormalizationConfig,
     _protected,
@@ -48,6 +55,25 @@ def remove_unwanted(text: str, config: NormalizationConfig, keep: frozenset) -> 
             continue
         out.append(ch)
     return "".join(out)
+
+
+def collapse_repeats(text: str, max_run: int) -> str:
+    graphemes = regex.findall(r"\X", text)
+    out = []
+    prev = None
+    run = 0
+    for g in graphemes:
+        run = run + 1 if g == prev else 1
+        prev = g
+        if run <= max_run:
+            out.append(g)
+    return "".join(out)
+
+
+def insert_boundaries(text: str) -> str:
+    for pattern in _BOUNDARY_RES:
+        text = pattern.sub(" ", text)
+    return text
 
 
 # --- segment ------------------------------------------------------------------

@@ -10,6 +10,9 @@ import pytest
 
 from taghrida import baseline, cli
 from taghrida.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE
+from taghrida.normalize import RULE_ORDER, normalize
+
+from conftest import write_csv
 
 
 def run(*argv) -> int:
@@ -114,6 +117,109 @@ def test_segment_roundtrip_and_errors(pipeline_dir):
         "--lexicon", str(tmp / "no_lex.txt"),
     )
     assert rc == EXIT_USAGE
+
+
+def test_normalize_manifest_records_stats(tmp_path):
+    texts = [
+        "<b>مرحبا</b> @user_1 http://t.co/abc رااااائع",
+        "راسلني a@b.com  اليوم😂😂",
+        "الفوز(المؤكد)قريب 2021",
+        "نص نظيف",
+    ]
+    corpus = write_csv(
+        [{"tweet": t, "sarcasm": "FALSE", "sentiment": "NEU"} for t in texts], tmp_path / "c.csv"
+    )
+    out = tmp_path / "n.jsonl"
+    assert run("normalize", "--input", str(corpus), "--output", str(out)) == EXIT_OK
+    results = [normalize(text) for text in texts]
+    stats = manifest_of(out)["stats"]
+    assert stats == {
+        "records": 4,
+        "changed_by_rule": {
+            rule: sum(rule in r.rules_applied for r in results) for rule in RULE_ORDER
+        },
+        "entities": {
+            kind: sum(r.entity_counts.get(kind, 0) for r in results) for kind in ("url", "email", "mention")
+        },
+    }
+    assert all(stats["changed_by_rule"].values())
+    assert stats["entities"] == {"url": 1, "email": 1, "mention": 1}
+
+
+def test_segment_manifest_records_stats(pipeline_dir):
+    corpus, tmp = pipeline_dir
+    norm, seg = tmp / "n.jsonl", tmp / "s.jsonl"
+    run("normalize", "--input", str(corpus), "--output", str(norm))
+    with norm.open("a", encoding="utf-8") as fh:  # two placeholder spans, a repeated token
+        fh.write(json.dumps({
+            "id": 999, "text": "x", "normalized": "[ رابط ] والكتاب [ مستخدم ] والكتاب",
+            "sarcasm": "FALSE", "sentiment": "NEU",
+        }) + "\n")
+    before = norm.read_bytes()
+    assert run("segment", "--input", str(norm), "--output", str(seg)) == EXIT_OK
+    assert norm.read_bytes() == before
+    tokens, spans = [], 0
+    for line in before.decode("utf-8").splitlines():
+        words = json.loads(line)["normalized"].split()
+        i = 0
+        while i < len(words):
+            if words[i] == "[" and i + 2 < len(words) and words[i + 2] == "]":
+                spans += 1
+                i += 3
+            else:
+                tokens.append(words[i])
+                i += 1
+    stats = manifest_of(seg)["stats"]
+    assert stats == {
+        "records": 201, "tokens": len(tokens), "distinct_tokens": len(set(tokens)), "placeholder_spans": spans,
+    }
+    assert spans >= 2 and len(set(tokens)) < len(tokens)
+
+
+SURROGATE = chr(0xD800)
+
+
+@pytest.mark.parametrize(
+    "command, record",
+    [
+        ("normalize", {"id": 1, "text": SURROGATE + " abc", "sarcasm": "FALSE", "sentiment": "NEU"}),
+        (
+            "segment",
+            {"id": 1, "text": "abc", "normalized": SURROGATE + " abc", "sarcasm": "FALSE", "sentiment": "NEU"},
+        ),
+        ("predict", {"id": SURROGATE, "text": "abc"}),
+    ],
+)
+def test_record_that_cannot_be_written_is_refused_naming_its_line(trained, command, record, capsys):
+    tmp, tr, dv, model = trained
+    inp, out = tmp / "surrogate.jsonl", tmp / "out.jsonl"
+    good = {"id": 0, "text": "نص", "normalized": "نص", "sarcasm": "TRUE", "sentiment": "POS"}
+    # json.dumps escapes the lone surrogate as \ud800, as a JSON writer may
+    inp.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    argv = [command, "--input", str(inp), "--output", str(out)]
+    if command == "predict":
+        argv += ["--model", str(model)]
+    capsys.readouterr()
+    assert run(*argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{inp}:2: " in err or (f"{inp}: " in err and "line 2: " in err)
+    assert "surrogate" in err and "Traceback" not in err
+    assert not out.exists()
+    assert not out.with_name(out.name + ".manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["segment", "predict"])
+def test_empty_input_warns(trained, command, capsys):
+    tmp, tr, dv, model = trained
+    inp, out = tmp / "empty.jsonl", tmp / "out.jsonl"
+    inp.write_text("", encoding="utf-8")
+    argv = [command, "--input", str(inp), "--output", str(out)]
+    if command == "predict":
+        argv += ["--model", str(model)]
+    capsys.readouterr()
+    assert run(*argv) == EXIT_OK
+    assert f"warning: {inp} holds no records" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == ""
 
 
 # --- split ----------------------------------------------------------------------

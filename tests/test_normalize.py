@@ -11,7 +11,7 @@ from unittest import mock
 
 import pytest
 import regex
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_preprocess
@@ -459,7 +459,12 @@ def test_remove_unwanted_matches_reference(text, config, keep):
 @given(any_text, configs)
 @settings(max_examples=200, deadline=None)
 def test_normalize_matches_reference(text, config):
-    with mock.patch("taghrida.normalize._remove_unwanted", reference_preprocess.remove_unwanted):
+    with mock.patch.multiple(
+        "taghrida.normalize",
+        _remove_unwanted=reference_preprocess.remove_unwanted,
+        collapse_repeats=reference_preprocess.collapse_repeats,
+        insert_boundaries=reference_preprocess.insert_boundaries,
+    ):
         want = normalize(text, config)
     assert normalize(text, config) == want
 
@@ -471,3 +476,46 @@ def test_removal_table_stays_bounded():
     assert remove_unwanted_chars(text, config) == want
     table = _removal_table(config.removal_ranges, config.strip_tatweel_diacritics, frozenset())
     assert len(table) <= _TABLE_MAX_ENTRIES
+
+
+# --- pre-checks against the unguarded rules ----------------------------------
+
+# Units whose grapheme clusters are easy to get wrong: Arabic letters with
+# shadda and harakat, Latin letters with combining marks, regional-
+# indicator flags, ZWJ emoji sequences, Hangul jamo, decimal digits of
+# several scripts, brackets and line breaks. Repeating a unit k times
+# makes runs, and neighbouring units can fuse into longer clusters.
+GRAPHEME_UNITS = (
+    "ب", "ب\u0651", "ب\u0651\u064e", "\u0651", "\u064e", "\u0650\u0652", "\u064b", "ـ",
+    "e", "e\u0301", "\u0301", "\u0308", "a", "Z",
+    "\U0001F1F8\U0001F1E6", "\U0001F1EA", "\U0001F1EC",
+    "\U0001F468\u200d\U0001F469\u200d\U0001F467", "\u200d", "\u2764\ufe0f", "\U0001F44D\U0001F3FD",
+    "\u1100", "\u1161", "\u11a8", "\uac00", "\uac01",
+    "0", "7", "\u0663", "\u06f5", "\u096b", "\u17e3", "\U0001D7D8", "\uff13",
+    "(", ")", "[", "]", " ", "\r\n", "\n",
+)
+grapheme_text = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(GRAPHEME_UNITS), st.characters()),
+        st.integers(min_value=1, max_value=5),
+    ),
+    max_size=12,
+).map(lambda units: "".join(unit * k for unit, k in units))
+
+
+@given(grapheme_text, st.integers(min_value=1, max_value=4))
+@example("eee\u0301", 2)  # \1 matches the base letter of the last cluster
+@example("\U0001F1F8\U0001F1E6" * 3, 2)
+@example("نص بلا تكرار", 1)
+@settings(max_examples=500, deadline=None)
+def test_collapse_repeats_matches_reference(text, max_run):
+    assert collapse_repeats(text, max_run) == reference_preprocess.collapse_repeats(text, max_run)
+
+
+@given(grapheme_text)
+@example("نص بلا حدود")
+@example("وسم\u0663\u0663")
+@example("\U0001D7D8كتاب")
+@settings(max_examples=500, deadline=None)
+def test_insert_boundaries_matches_reference(text):
+    assert insert_boundaries(text) == reference_preprocess.insert_boundaries(text)

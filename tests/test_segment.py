@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_preprocess
+from taghrida import segment
 from taghrida.errors import DataError
 from taghrida.normalize import ARABIC_BLOCKS, NormalizationConfig, normalize
 from taghrida.segment import (
@@ -22,6 +23,7 @@ from taghrida.segment import (
     default_lexicon,
     desegment,
     load_lexicon,
+    segment_stats,
     segment_text,
     segment_token,
 )
@@ -275,6 +277,54 @@ def test_segment_text_matches_reference(text, rules, cuts):
     assert segment_text(text, rules, lexicon) == want
     for entry in rules.proclitics:
         assert rules.proclitic_units(entry) == reference_preprocess.proclitic_units(rules, entry)
+
+
+@given(
+    st.lists(composed_text, min_size=1, max_size=4),
+    clitic_rules,
+    clitic_rules,
+    st.sets(st.integers(min_value=1, max_value=4), min_size=1, max_size=2),
+)
+@settings(max_examples=150, deadline=None)
+def test_segment_text_memo_matches_reference(texts, rules_a, rules_b, cuts):
+    # Two rules objects and two lexicons see the same tokens; the tails
+    # in the second lexicon change how some of those tokens split.
+    tails = {token[cut:] for text in texts for token in text.split() for cut in cuts if len(token) > cut}
+    lexicons = (LEXICON, Lexicon(stems=LEXICON.stems | tails))
+    for _ in range(2):
+        for lexicon in lexicons:
+            for rules in (rules_a, rules_b):
+                for text in texts + texts:  # the second pass reads the warmed memo
+                    want = reference_preprocess.segment_text(text, rules, lexicon)
+                    assert segment_text(text, rules, lexicon) == want
+
+
+def test_segment_memo_stays_bounded(monkeypatch):
+    monkeypatch.setattr(segment, "_MEMO_MAX_ENTRIES", 64)
+    rules = CliticRules()
+    words = [f"ال{stem}" for stem in STEMS[:200]]
+    text = " ".join(words + ["[", "رابط", "]"] + words)
+    assert segment_text(text, rules, LEXICON) == reference_preprocess.segment_text(text, rules, LEXICON)
+    assert len(rules._memo(LEXICON).rendered) == 64
+    # Past the cap a token met again is segmented, and counted, again.
+    assert segment_stats(rules, LEXICON) == {
+        "tokens": 400, "distinct_tokens": 200 + 200 - 64, "placeholder_spans": 1,
+    }
+
+
+def test_segment_stats_restart_with_another_lexicon():
+    fresh = CliticRules()
+    other = Lexicon(frozenset({"كتاب"}))
+    segment_text("والكتاب والكتاب [ رابط ]", fresh, LEXICON)
+    assert segment_stats(fresh, LEXICON) == {"tokens": 2, "distinct_tokens": 1, "placeholder_spans": 1}
+    segment_text("والكتاب", fresh, other)
+    assert segment_stats(fresh, other) == {"tokens": 1, "distinct_tokens": 1, "placeholder_spans": 0}
+
+
+def test_lexicon_stems_are_frozen():
+    lexicon = Lexicon({"كتاب"})
+    assert isinstance(lexicon.stems, frozenset) and hash(lexicon) == hash(Lexicon(frozenset({"كتاب"})))
+    assert segment_text("الكتاب", CliticRules(), lexicon) == "ال+ كتاب"
 
 
 BLOCK_EDGES = [chr(code) for lo, hi in ARABIC_BLOCKS for code in (lo - 1, lo, hi, hi + 1)]
