@@ -4,7 +4,7 @@ protocol, evaluation metrics, and a hashed-feature baseline classifier."""
 __version__ = "0.1.0"
 
 from .errors import DataError, SchemaError, TaghridaError
-from .normalize import NormalizationConfig, NormalizedText, normalize
+from .normalize import NormalizationConfig, NormalizedText
 from .segment import CliticRules, Lexicon, SegmentedToken, desegment, segment_text, segment_token
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "TaghridaError",
     "NormalizationConfig",
     "NormalizedText",
-    "normalize",
     "CliticRules",
     "Lexicon",
     "SegmentedToken",

@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .metrics import EvalReport, confusion_matrix, evaluation_report
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -514,18 +513,6 @@ def predict(model: BaselineModel, text: str) -> tuple[str, np.ndarray]:
     probs = _softmax(_logits(model.weights, model.bias, features))
     probs = probs / probs.sum()
     return model.labels[int(np.argmax(probs))], probs
-
-
-def evaluate(
-    model: BaselineModel, dev_set: Sequence[tuple[str, str]], task: str
-) -> EvalReport:
-    """Predict over labeled (text, gold) pairs and score for `task`."""
-    from .dataset import TASK_LABELS
-
-    gold = [label for _, label in dev_set]
-    pred = [predict(model, text)[0] for text, _ in dev_set]
-    matrix = confusion_matrix(gold, pred, TASK_LABELS[task])
-    return evaluation_report(matrix, task)
 
 
 def save_model(model: BaselineModel, path: str | Path) -> None:

@@ -19,6 +19,7 @@ import json
 import sys
 import time
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -105,9 +106,10 @@ def _config_snapshot(obj) -> dict:
     return dict(obj)
 
 
-def _load_any(path: Path) -> dataset.LabeledDataset:
+def _load_any(path: Path, columns: str | None = None) -> dataset.LabeledDataset:
+    """A CSV, read with the `--columns` remap, or a JSONL file."""
     if path.suffix.lower() == ".csv":
-        return dataset.load_csv(path)
+        return dataset.load_csv(path, schema=_parse_columns(columns))
     return dataset.load_jsonl(path)
 
 
@@ -128,12 +130,25 @@ def _parse_columns(arg: str | None) -> dict[str, str] | None:
     return mapping
 
 
-def _text_for_training(rec: dataset.Record, text_field: str) -> str:
-    if text_field == "auto":
-        for value in (rec.segmented, rec.normalized, rec.text):
-            if value is not None:
-                return value
-    value = getattr(rec, text_field)
+# The `--text-field` choices; "auto" reads the first field present of
+# segmented, normalized and text.
+TEXT_FIELDS = ("auto", "text", "normalized", "segmented")
+
+
+def _model_text(field_of, text_field: str = "auto"):
+    """The text a model reads from one record, whose fields `field_of`
+    looks up by name, for train, evaluate and predict alike; None if
+    the field is missing."""
+    names = ("segmented", "normalized", "text") if text_field == "auto" else (text_field,)
+    for name in names:
+        value = field_of(name)
+        if value is not None:
+            return value
+    return None
+
+
+def _record_text(rec: dataset.Record, text_field: str) -> str:
+    value = _model_text(partial(getattr, rec), text_field)
     if value is None:
         raise UsageError(
             f"record {rec.id} has no {text_field!r} field; run the earlier "
@@ -149,10 +164,7 @@ def cmd_normalize(args) -> int:
     started = time.monotonic()
     in_path = _require_file(args.input, "input CSV")
     config = _load_norm_config(args)
-    if in_path.suffix.lower() == ".csv":
-        ds = dataset.load_csv(in_path, schema=_parse_columns(args.columns))
-    else:
-        ds = dataset.load_jsonl(in_path)
+    ds = _load_any(in_path, args.columns)
     results = [normalize(rec.text, config) for rec in ds]
     out_ds = dataset.with_fields(ds, normalized=[r.normalized for r in results])
     out_path = Path(args.output)
@@ -253,7 +265,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     cfg = baseline.FeatureConfig(hash_dim=args.hash_dim)
-    pairs = [(_text_for_training(rec, args.text_field), rec.label(args.task)) for rec in ds]
+    pairs = [(_record_text(rec, args.text_field), rec.label(args.task)) for rec in ds]
     model = baseline.train(pairs, hyper, cfg)
     out_path = Path(args.output)
     baseline.save_model(model, out_path)
@@ -287,9 +299,7 @@ def cmd_predict(args) -> int:
     count = 0
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            for lineno, line in enumerate(
-                in_path.read_text(encoding="utf-8").splitlines(), start=1
-            ):
+            for lineno, line in enumerate(dataset.read_utf8(in_path).splitlines(), start=1):
                 if not line.strip():
                     continue
                 try:
@@ -297,7 +307,9 @@ def cmd_predict(args) -> int:
                     if not isinstance(obj, dict):
                         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
                     rec_id = obj["id"]
-                    text = obj.get("segmented") or obj.get("normalized") or obj["text"]
+                    text = _model_text(obj.get)
+                    if text is None:
+                        raise KeyError("text")
                 except (ValueError, KeyError) as exc:
                     raise DataError(f"{in_path}:{lineno}: {exc}") from None
                 if not isinstance(text, str):
@@ -349,9 +361,7 @@ def cmd_evaluate(args) -> int:
     if args.pred:
         pred_path = _require_file(args.pred, "predictions JSONL")
         pred_by_id = {}
-        for lineno, line in enumerate(
-            pred_path.read_text(encoding="utf-8").splitlines(), start=1
-        ):
+        for lineno, line in enumerate(dataset.read_utf8(pred_path).splitlines(), start=1):
             if not line.strip():
                 continue
             try:
@@ -376,7 +386,7 @@ def cmd_evaluate(args) -> int:
     elif args.model:
         model = baseline.load_model(_require_file(args.model, "model file"))
         pred = [
-            baseline.predict(model, _text_for_training(rec, args.text_field))[0]
+            baseline.predict(model, _record_text(rec, args.text_field))[0]
             for rec in ds
         ]
         model_path = args.model
@@ -463,11 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="model JSON path")
     p.add_argument("--task", required=True, choices=dataset.TASKS)
-    p.add_argument(
-        "--text-field",
-        default="auto",
-        choices=("auto", "text", "normalized", "segmented"),
-    )
+    p.add_argument("--text-field", default="auto", choices=TEXT_FIELDS)
     p.add_argument("--learning-rate", type=float, default=0.05)
     p.add_argument("--adam-epsilon", type=float, default=1e-8)
     p.add_argument("--batch-size", type=int, default=40)
@@ -491,11 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, choices=dataset.TASKS)
     p.add_argument("--format", default="table", choices=("table", "json"))
     p.add_argument("--output", help="also write the JSON report here")
-    p.add_argument(
-        "--text-field",
-        default="auto",
-        choices=("auto", "text", "normalized", "segmented"),
-    )
+    p.add_argument("--text-field", default="auto", choices=TEXT_FIELDS)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("stats", help="class distribution of a dataset")
@@ -520,10 +522,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SchemaError as exc:
+    except (UsageError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:
@@ -532,10 +531,7 @@ def main(argv: list[str] | None = None) -> int:
     except IsADirectoryError as exc:
         print(f"error: {exc.filename or exc} is a directory, not a file", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -102,6 +102,37 @@ def _check_task(task: str) -> None:
         raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
 
 
+def read_utf8(path: str | Path) -> str:
+    """A file's text, as `Path.read_text` gives it; bytes that are not
+    UTF-8 are refused naming the file and the line of the first bad byte."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _utf8_lines(fh, path: str | Path):
+    """The lines of the text file `fh`, refusing bytes that are not
+    UTF-8 as `read_utf8` does."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path: str | Path) -> DataError:
+    """The error for a file that is not UTF-8, naming the line of its
+    first bad byte. A decoder reading in chunks reports an offset into
+    the chunk, so the file is decoded again, whole."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return DataError(f"{path}:{line}: not UTF-8: byte 0x{raw[exc.start]:02x} ({exc.reason})")
+    return DataError(f"{path}: not UTF-8")  # the file changed between the reads
+
+
 def load_csv(path: str | Path, schema: dict[str, str] | None = None) -> LabeledDataset:
     """Load a training CSV into a dataset.
 
@@ -117,7 +148,7 @@ def load_csv(path: str | Path, schema: dict[str, str] | None = None) -> LabeledD
     records = []
     problems = []
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(_utf8_lines(fh, path))
         if reader.fieldnames is None:
             raise SchemaError(f"{path}: empty file, no header row")
         for logical in ("text", "sarcasm", "sentiment"):
@@ -169,7 +200,7 @@ def load_jsonl(path: str | Path) -> LabeledDataset:
     path = Path(path)
     records = []
     problems = []
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     # Strict UTF-8 decoding yields no lone surrogate; only a \u escape
     # can spell one, so a file without "\u" needs no check per record.
     has_escapes = any("\\u" in line for line in lines)
@@ -229,15 +260,6 @@ def class_distribution(ds: LabeledDataset, task: str) -> dict[str, int]:
     counts = {label: 0 for label in TASK_LABELS[task]}
     for rec in ds:
         counts[rec.label(task)] += 1
-    return counts
-
-
-def joint_distribution(ds: LabeledDataset) -> dict[tuple[str, str], int]:
-    """(sarcasm, sentiment) -> count over all joint strata."""
-    counts: dict[tuple[str, str], int] = {}
-    for rec in ds:
-        key = (rec.sarcasm, rec.sentiment)
-        counts[key] = counts.get(key, 0) + 1
     return counts
 
 

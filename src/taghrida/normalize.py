@@ -1,14 +1,9 @@
 """Tweet text normalization.
 
 Six composable rewrite rules turn raw social-media text into clean,
-whitespace-regular Arabic suitable for segmentation and classification:
-
-    markup_strip    -> drop HTML tags, decode/drop character entities
-    entity_replace  -> URLs / emails / @mentions become placeholder tokens
-    unwanted_chars  -> drop emoji, pictographs and control characters
-    repeat_collapse -> cap elongated character runs ("heeey" style)
-    boundary_insert -> space out digits, Latin letters and round brackets
-    space_collapse  -> squeeze whitespace runs, trim the ends
+whitespace-regular Arabic suitable for segmentation and classification.
+`_RULES` below lists them in pipeline order, each under the name that
+its `NormalizationConfig` flag and `rules_applied` use.
 
 `normalize()` applies the enabled rules in that fixed order and iterates
 the whole pass until the text stops changing, so its output is a fixed
@@ -25,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import regex
 
@@ -111,16 +106,6 @@ ENTITY_KINDS = tuple(_SENTINELS)
 _SENTINEL_CHARS = frozenset(c for pair in _SENTINELS.values() for c in pair)
 _SENTINEL_SCRUB = {ord(c): None for c in _SENTINEL_CHARS}
 
-# The pipeline order of the rules, by the names `rules_applied` uses.
-RULE_ORDER = (
-    "markup_strip",
-    "entity_replace",
-    "unwanted_chars",
-    "repeat_collapse",
-    "boundary_insert",
-    "space_collapse",
-)
-
 # A full pipeline pass is repeated until the text stabilizes; real tweets
 # settle after one pass, adversarial interleavings after two or three.
 _MAX_PASSES = 10
@@ -164,7 +149,13 @@ DEFAULT_PLACEHOLDER_URL = "[ رابط ]"
 DEFAULT_PLACEHOLDER_EMAIL = "[ بريد ]"
 DEFAULT_PLACEHOLDER_MENTION = "[ مستخدم ]"
 
-_BOOL_KEYS = RULE_ORDER + ("strip_tatweel_diacritics",)
+# Config-file value parsers by the declared type of a field, which
+# `from __future__ import annotations` leaves a string.
+_FLAG_WORDS = {
+    **dict.fromkeys(("true", "1", "yes", "on"), True),
+    **dict.fromkeys(("false", "0", "no", "off"), False),
+}
+_VALUE_PARSERS = {"bool": lambda value: _FLAG_WORDS[value.lower()], "int": int, "str": str}
 
 
 @dataclass(frozen=True)
@@ -194,21 +185,21 @@ class NormalizationConfig:
     def __post_init__(self):
         if self.max_repeat_run < 1:
             raise ValueError(f"max_repeat_run must be >= 1, got {self.max_repeat_run}")
-        for name in ("placeholder_url", "placeholder_email", "placeholder_mention"):
-            value = getattr(self, name)
+        for kind, value in _placeholders(self).items():
             if not value or "\n" in value:
-                raise ValueError(f"{name} must be non-empty and newline-free")
+                raise ValueError(f"placeholder_{kind} must be non-empty and newline-free")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "NormalizationConfig":
         """Load a UTF-8 key=value config file.
 
-        Recognized keys are the dataclass field names; flags accept
-        true/false/1/0/yes/no, `removal_ranges_file` points to an
-        alternate removable-codepoint table. Placeholder values keep
-        interior spaces but have outer whitespace trimmed.
+        Keys are the bool, int and str fields, each value parsed by its
+        field's type: flags accept true/false/1/0/yes/no/on/off.
+        `removal_ranges_file` points to an alternate removable-codepoint
+        table. Placeholder values keep interior spaces but have outer
+        whitespace trimmed. Errors name the file and the line.
         """
-        known = {f.name for f in fields(cls)}
+        declared = {f.name: f.type for f in fields(cls)}
         kwargs: dict = {}
         for lineno, raw in enumerate(
             Path(path).read_text(encoding="utf-8").splitlines(), start=1
@@ -221,21 +212,26 @@ class NormalizationConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key == "removal_ranges_file":
                 kwargs["removal_ranges"] = load_removal_ranges(value)
-            elif key in _BOOL_KEYS:
-                lowered = value.lower()
-                if lowered in ("true", "1", "yes", "on"):
-                    kwargs[key] = True
-                elif lowered in ("false", "0", "no", "off"):
-                    kwargs[key] = False
-                else:
-                    raise ValueError(f"{path}:{lineno}: bad flag value {value!r}")
-            elif key == "max_repeat_run":
-                kwargs[key] = int(value)
-            elif key in known:
-                kwargs[key] = value
+            elif declared.get(key) in _VALUE_PARSERS:
+                try:
+                    kwargs[key] = _VALUE_PARSERS[declared[key]](value)
+                except (KeyError, ValueError):
+                    raise ValueError(
+                        f"{path}:{lineno}: {key} takes a {declared[key]}, got {value!r}"
+                    ) from None
+            elif key == "removal_ranges":
+                raise ValueError(
+                    f"{path}:{lineno}: unknown key 'removal_ranges'; "
+                    "name a table file with removal_ranges_file"
+                )
             else:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         return cls(**kwargs)
+
+
+def _placeholders(config: NormalizationConfig) -> dict[str, str]:
+    """The placeholder that stands for each entity kind."""
+    return {kind: getattr(config, f"placeholder_{kind}") for kind in ENTITY_KINDS}
 
 
 @dataclass(frozen=True)
@@ -297,19 +293,17 @@ def replace_entities(
     with zero matches are omitted).
     """
     config = config or NormalizationConfig()
-    placeholders = {
-        "url": config.placeholder_url,
-        "email": config.placeholder_email,
-        "mention": config.placeholder_mention,
-    }
+    pairs = {kind: (p, p) for kind, p in _placeholders(config).items()}
     counts: Counter = Counter()
-    out = _replace_entity_spans(text, placeholders, counts)
+    out = _replace_entity_spans(text, pairs, counts)
     return out, dict(counts)
 
 
 def _replace_entity_spans(
-    text: str, replacements: Mapping[str, str], counts: Counter
+    text: str, pairs: Mapping[str, tuple[str, str]], counts: Counter
 ) -> str:
+    """Replace each entity span by its kind's pair of replacements, used
+    in turn, and count the spans per kind."""
     spans = _entity_spans(text)
     if not spans:
         return text
@@ -317,10 +311,7 @@ def _replace_entity_spans(
     cursor = 0
     for start, end, kind in spans:
         pieces.append(text[cursor:start])
-        replacement = replacements[kind]
-        if isinstance(replacement, tuple):  # alternating sentinel pair
-            replacement = replacement[counts[kind] % 2]
-        pieces.append(replacement)
+        pieces.append(pairs[kind][counts[kind] % 2])
         counts[kind] += 1
         cursor = end
     pieces.append(text[cursor:])
@@ -433,15 +424,35 @@ def collapse_spaces(text: str) -> str:
     return _SPACE_RUN_RE.sub(" ", text).strip()
 
 
+# The pipeline: each rule under the name its config flag and
+# `rules_applied` use, in the order the rules run, called as
+# rule(text, config, entity_counts). An entry looks its function up when
+# called, so a rule patched on this module runs in the pipeline.
+_RULES = (
+    # drop HTML tags, decode/drop character entities
+    ("markup_strip", lambda text, cfg, counts: strip_markup(text)),
+    # URLs / emails / @mentions become masked placeholders
+    ("entity_replace", lambda text, cfg, counts: _replace_entity_spans(text, _SENTINELS, counts)),
+    # drop emoji, pictographs and control characters
+    ("unwanted_chars", lambda text, cfg, counts: _remove_unwanted(text, cfg, _SENTINEL_CHARS)),
+    # cap elongated grapheme runs ("heeey" style)
+    ("repeat_collapse", lambda text, cfg, counts: collapse_repeats(text, cfg.max_repeat_run)),
+    # space out digits, Latin letters and round brackets
+    ("boundary_insert", lambda text, cfg, counts: insert_boundaries(text)),
+    # squeeze whitespace runs, trim the ends
+    ("space_collapse", lambda text, cfg, counts: collapse_spaces(text)),
+)
+RULE_ORDER = tuple(name for name, _ in _RULES)
+
+
 def normalize(text: str, config: NormalizationConfig | None = None) -> NormalizedText:
     """Run the full normalization pipeline over one tweet.
 
-    Enabled rules run in the fixed order markup_strip, entity_replace,
-    unwanted_chars, repeat_collapse, boundary_insert, space_collapse;
-    the whole pass repeats until the text is stable. Placeholder tokens
-    are masked behind private-use sentinels while the pass runs so the
-    later rules can never mangle them. `rules_applied` lists, in pipeline
-    order, the rules that actually changed the text.
+    Enabled rules run in `RULE_ORDER`; the whole pass repeats until the
+    text is stable. Placeholder tokens are masked behind private-use
+    sentinels while the pass runs so the later rules can never mangle
+    them. `rules_applied` lists, in pipeline order, the rules that
+    actually changed the text.
     """
     config = config or NormalizationConfig()
     original = text
@@ -450,50 +461,21 @@ def normalize(text: str, config: NormalizationConfig | None = None) -> Normalize
     current = text.translate(_SENTINEL_SCRUB)
     counts: Counter = Counter()
     applied: dict[str, None] = {}
+    rules = [(name, rule) for name, rule in _RULES if getattr(config, name)]
 
     for _ in range(_MAX_PASSES):
         before_pass = current
-        if config.markup_strip:
-            rewritten = strip_markup(current)
+        for name, rule in rules:
+            rewritten = rule(current, config, counts)
             if rewritten != current:
-                applied["markup_strip"] = None
-            current = rewritten
-        if config.entity_replace:
-            rewritten = _replace_entity_spans(current, _SENTINELS, counts)
-            if rewritten != current:
-                applied["entity_replace"] = None
-            current = rewritten
-        if config.unwanted_chars:
-            rewritten = _remove_unwanted(current, config, _SENTINEL_CHARS)
-            if rewritten != current:
-                applied["unwanted_chars"] = None
-            current = rewritten
-        if config.repeat_collapse:
-            rewritten = collapse_repeats(current, config.max_repeat_run)
-            if rewritten != current:
-                applied["repeat_collapse"] = None
-            current = rewritten
-        if config.boundary_insert:
-            rewritten = insert_boundaries(current)
-            if rewritten != current:
-                applied["boundary_insert"] = None
-            current = rewritten
-        if config.space_collapse:
-            rewritten = collapse_spaces(current)
-            if rewritten != current:
-                applied["space_collapse"] = None
+                applied[name] = None
             current = rewritten
         if current == before_pass:
             break
 
-    placeholders = {
-        "url": config.placeholder_url,
-        "email": config.placeholder_email,
-        "mention": config.placeholder_mention,
-    }
-    for kind, pair in _SENTINELS.items():
-        for sentinel in pair:
-            current = current.replace(sentinel, placeholders[kind])
+    for kind, placeholder in _placeholders(config).items():
+        for sentinel in _SENTINELS[kind]:
+            current = current.replace(sentinel, placeholder)
 
     return NormalizedText(
         original=original,
@@ -501,11 +483,3 @@ def normalize(text: str, config: NormalizationConfig | None = None) -> Normalize
         rules_applied=tuple(r for r in RULE_ORDER if r in applied),
         entity_counts=dict(counts),
     )
-
-
-def normalize_batch(
-    texts: Iterable[str], config: NormalizationConfig | None = None
-) -> list[NormalizedText]:
-    """Normalize a sequence of tweets, preserving input order."""
-    config = config or NormalizationConfig()
-    return [normalize(t, config) for t in texts]

@@ -197,13 +197,15 @@ def test_criterion_5_baseline_trainer(tmp_path):
             baseline.HyperParams(epochs=5, batch_size=40, seed=1),
             baseline.FeatureConfig(hash_dim=2**12),
         )
-        model_fpn = baseline.evaluate(clf, dev_pairs, "sentiment").official
+        gold = [label for _, label in dev_pairs]
+        pred = [baseline.predict(clf, text)[0] for text, _ in dev_pairs]
+        matrix = metrics.confusion_matrix(gold, pred, dataset.TASK_LABELS["sentiment"])
+        model_fpn = metrics.evaluation_report(matrix, "sentiment").official
 
         majority = max(
             dataset.class_distribution(split.train, "sentiment").items(),
             key=lambda kv: kv[1],
         )[0]
-        gold = [label for _, label in dev_pairs]
         constant = metrics.confusion_matrix(
             gold, [majority] * len(gold), dataset.TASK_LABELS["sentiment"]
         )

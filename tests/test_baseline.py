@@ -19,7 +19,6 @@ from taghrida.baseline import (
     BaselineModel,
     FeatureConfig,
     HyperParams,
-    evaluate,
     featurize,
     load_model,
     loss_and_gradient,
@@ -27,6 +26,8 @@ from taghrida.baseline import (
     save_model,
     train,
 )
+from taghrida.dataset import TASK_LABELS
+from taghrida.metrics import confusion_matrix, evaluation_report
 
 SMALL_CFG = FeatureConfig(hash_dim=2**10)
 
@@ -555,7 +556,9 @@ def test_evaluate_memorized_devset():
     model = train(examples, HyperParams(epochs=10, batch_size=4, seed=0), SMALL_CFG)
     dev = [(t, l) for t, l in examples[:5]] + [(t, l) for t, l in examples[-5:]]
     # sentiment task needs all three labels; map POS/NEG straight through
-    rep = evaluate(model, dev, "sentiment")
+    pred = [predict(model, text)[0] for text, _ in dev]
+    matrix = confusion_matrix([label for _, label in dev], pred, TASK_LABELS["sentiment"])
+    rep = evaluation_report(matrix, "sentiment")
     assert rep.official == 1.0
     assert rep.task == "sentiment"
 
@@ -572,7 +575,9 @@ def test_evaluate_constant_predictor_zero_official():
         seed=0,
     )
     dev = [("نص اول", "FALSE"), ("نص ثان", "FALSE"), ("نص ثالث", "TRUE")]
-    rep = evaluate(model, dev, "sarcasm")
+    pred = [predict(model, text)[0] for text, _ in dev]
+    matrix = confusion_matrix([label for _, label in dev], pred, TASK_LABELS["sarcasm"])
+    rep = evaluation_report(matrix, "sarcasm")
     assert rep.official == 0.0
     assert rep.accuracy == pytest.approx(2 / 3)
 

@@ -97,6 +97,30 @@ def test_normalize_config_env_var(tmp_path, small_corpus, monkeypatch):
     assert snap["max_repeat_run"] == 1
 
 
+@pytest.mark.parametrize("line", ["removal_ranges = 1F600..1F64F", "max_repeat_run = two"])
+def test_config_value_that_does_not_parse_is_usage_error_naming_its_line(pipeline_dir, line, capsys):
+    corpus, tmp = pipeline_dir
+    cfg = tmp / "norm.cfg"
+    cfg.write_text(f"# config\n{line}\n", encoding="utf-8")
+    out = tmp / "n.jsonl"
+    rc = run("normalize", "--input", str(corpus), "--output", str(out), "--config", str(cfg))
+    assert rc == EXIT_USAGE
+    assert f"{cfg}:2: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_csv_that_is_not_utf8_is_refused_naming_its_line(tmp_path, capsys):
+    rows = [{"tweet": f"نص رقم {i}", "sarcasm": "FALSE", "sentiment": "NEU"} for i in range(3000)]
+    corpus = write_csv(rows, tmp_path / "c.csv")
+    with open(corpus, "ab") as fh:
+        fh.write(b"\xed\xa0\x80 bad,FALSE,NEU\r\n")  # line 3002: a UTF-8-encoded surrogate
+    out = tmp_path / "n.jsonl"
+    rc = run("normalize", "--input", str(corpus), "--output", str(out))
+    assert rc == EXIT_DATA
+    assert f"{corpus}:3002: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- segment -------------------------------------------------------------------
 
 
@@ -314,6 +338,28 @@ def test_train_predict_evaluate_chain(trained, capsys):
     assert rc == EXIT_OK
     direct = json.loads(capsys.readouterr().out)
     assert direct["official"] == pytest.approx(saved["official"])
+
+
+def test_predict_reads_the_text_train_and_evaluate_read(trained, capsys):
+    # one markup tag: the text normalizes to "", which train and
+    # evaluate --model read, so predict must read "" too
+    tmp, tr, dv, model = trained
+    corpus = write_csv([{"tweet": "<جميل جميل>", "sarcasm": "FALSE", "sentiment": "NEG"}], tmp / "tag.csv")
+    norm, preds = tmp / "tag.jsonl", tmp / "tag_preds.jsonl"
+    assert run("normalize", "--input", str(corpus), "--output", str(norm)) == EXIT_OK
+    assert json.loads(norm.read_text(encoding="utf-8"))["normalized"] == ""
+    assert run("predict", "--model", str(model), "--input", str(norm), "--output", str(preds)) == EXIT_OK
+    loaded = baseline.load_model(model)
+    _, probs = baseline.predict(loaded, "")
+    (line,) = preds.read_text(encoding="utf-8").splitlines()
+    assert json.loads(line)["probs"] == {l: float(p) for l, p in zip(loaded.labels, probs)}
+    capsys.readouterr()
+    reports = []
+    for source in (["--model", str(model)], ["--pred", str(preds)]):
+        rc = run("evaluate", "--input", str(norm), *source, "--task", "sentiment", "--format", "json")
+        assert rc == EXIT_OK
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1]
 
 
 def test_train_deterministic_model_bytes(trained):

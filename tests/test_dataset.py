@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from collections import Counter
 
 import pytest
 
@@ -125,10 +126,10 @@ def test_split_partition(small_corpus):
 def test_split_stratification_bound(small_corpus):
     ds = dataset.load_csv(small_corpus)
     result = dataset.stratified_split(ds, 0.9, seed=11)
-    whole = dataset.joint_distribution(ds)
-    train = dataset.joint_distribution(result.train)
+    whole = Counter((r.sarcasm, r.sentiment) for r in ds)
+    train = Counter((r.sarcasm, r.sentiment) for r in result.train)
     for key, total in whole.items():
-        assert abs(train.get(key, 0) - 0.9 * total) <= 1.0, key
+        assert abs(train[key] - 0.9 * total) <= 1.0, key
 
 
 def test_split_deterministic(small_corpus):
@@ -210,6 +211,17 @@ def test_load_jsonl_reports_bad_lines(tmp_path):
     with pytest.raises(DataError) as exc:
         dataset.load_jsonl(path)
     assert "line 2" in str(exc.value) and "line 3" in str(exc.value)
+
+
+@pytest.mark.parametrize("loader", [dataset.load_csv, dataset.load_jsonl])
+def test_file_that_is_not_utf8_is_refused_naming_its_line(tmp_path, loader):
+    path = tmp_path / "latin1.txt"
+    good = '{"id": 0, "text": "x", "sarcasm": "TRUE", "sentiment": "POS"}'
+    path.write_bytes(f"tweet,sarcasm,sentiment\n{good}\n".encode() + "café".encode("latin-1") + b"\n")
+    with pytest.raises(DataError) as exc:
+        loader(path)
+    assert str(exc.value).startswith(f"{path}:3: ")
+    assert "0xe9" in str(exc.value)
 
 
 def test_with_fields(small_corpus):

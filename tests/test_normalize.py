@@ -7,6 +7,7 @@ boundaries, spaces) and are asserted byte-exactly.
 
 from __future__ import annotations
 
+import types
 from unittest import mock
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import reference_preprocess
 from taghrida.normalize import (
     _TABLE_MAX_ENTRIES,
+    RULE_ORDER,
     NormalizationConfig,
     _remove_unwanted,
     _removal_table,
@@ -26,7 +28,6 @@ from taghrida.normalize import (
     insert_boundaries,
     load_removal_ranges,
     normalize,
-    normalize_batch,
     remove_unwanted_chars,
     replace_entities,
     strip_markup,
@@ -225,11 +226,26 @@ def test_disabled_rules_are_skipped():
     assert "@user" in normalize("@user", cfg).normalized
 
 
-def test_normalize_batch_preserves_order():
+@pytest.mark.parametrize("rule", RULE_ORDER)
+def test_each_rule_switches_off_alone(rule):
+    text = "<b>جمييييييل</b>عام2021 😂  @user "
+    assert normalize(text, CFG).rules_applied == RULE_ORDER
+    off = normalize(text, NormalizationConfig(**{rule: False}))
+    assert off.rules_applied == tuple(r for r in RULE_ORDER if r != rule)
+
+
+def test_normalize_short_texts():
     texts = ["ههههه", "", "عام2021"]
-    outs = normalize_batch(texts, CFG)
+    outs = [normalize(t, CFG) for t in texts]
     assert [o.original for o in outs] == texts
     assert [o.normalized for o in outs] == ["هه", "", "عام 2021"]
+
+
+def test_normalize_module_is_not_shadowed():
+    import taghrida
+
+    assert isinstance(taghrida.normalize, types.ModuleType)
+    assert taghrida.normalize.normalize is normalize
 
 
 def test_config_validation():
@@ -247,17 +263,39 @@ def test_config_from_file(tmp_path):
         "# comment\n"
         "max_repeat_run = 3\n"
         "placeholder_url = [ URL ]\n"
-        "boundary_insert = off\n",
+        "placeholder_email = 7\n"
+        "boundary_insert = off\n"
+        "space_collapse = 0\n"
+        "strip_tatweel_diacritics = YES\n",
         encoding="utf-8",
     )
     cfg = NormalizationConfig.from_file(cfg_file)
     assert cfg.max_repeat_run == 3
     assert cfg.placeholder_url == "[ URL ]"
-    assert cfg.boundary_insert is False
+    assert cfg.placeholder_email == "7"
+    assert cfg.boundary_insert is False and cfg.space_collapse is False
+    assert cfg.strip_tatweel_diacritics is True
     bad = tmp_path / "bad.cfg"
     bad.write_text("no_such_key = 1\n", encoding="utf-8")
     with pytest.raises(ValueError):
         NormalizationConfig.from_file(bad)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("max_repeat_run = two", "max_repeat_run"),
+        ("markup_strip = maybe", "markup_strip"),
+        ("removal_ranges = 1F600..1F64F", "removal_ranges_file"),
+    ],
+)
+def test_config_from_file_names_the_line_of_a_bad_key(tmp_path, line, message):
+    cfg_file = tmp_path / "norm.cfg"
+    cfg_file.write_text(f"# header\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        NormalizationConfig.from_file(cfg_file)
+    assert str(exc.value).startswith(f"{cfg_file}:2: ")
+    assert message in str(exc.value)
 
 
 def test_removal_ranges_file_roundtrip(tmp_path):
