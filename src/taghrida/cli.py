@@ -185,6 +185,7 @@ def cmd_normalize(args) -> int:
             "records": count,
             "changed_by_rule": {rule: changed[rule] for rule in RULE_ORDER},
             "entities": {kind: entities[kind] for kind in ENTITY_KINDS},
+            "passes": {str(n): k for n, k in sorted(Counter(r.passes for r in results).items())},
         },
     )
     _warn_if_empty(count, in_path, out_path)

@@ -15,6 +15,7 @@ emoji removal fuses their pieces together).
 from __future__ import annotations
 
 import html
+import re
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -56,16 +57,19 @@ _MENTION_RE = regex.compile(r"@\w{1,15}")
 # letter plus its diacritic counts as one unit.
 _GRAPHEME_RE = regex.compile(r"\X")
 
+# Under the cluster rules of Unicode UAX #29 a code point can share a
+# cluster with a neighbour only if its Grapheme_Cluster_Break value is
+# not Other, Control or LF. CR is in this class, so a "\r\n" pair is
+# found too. A text without a match has one cluster per code point, and
+# its runs can be cut code point by code point.
+_JOINING_RE = regex.compile(r"[^\p{GCB=Other}\p{GCB=Control}\p{GCB=LF}]")
 
-# A cluster followed by `max_run` literal copies of itself finds every
-# run the grapheme loop would cut: `search` tries \X at each cluster start
-# the loop sees, and \1{max_run} matches the copies that follow. It also
-# matches where the loop cuts nothing (\1 can match the base letter of a
-# longer cluster, as in "eee\u0301"); the loop then runs and returns the
-# text unchanged, so such a match costs time, never output.
+
+# A code point, `max_run - 1` copies of it (group 1 holds all
+# `max_run`), then at least one copy more: the part of a run to cut.
 @lru_cache(maxsize=8)
-def _repeat_run_re(max_run: int) -> regex.Pattern:
-    return regex.compile(rf"(\X)\1{{{max_run}}}")
+def _codepoint_run_re(max_run: int) -> re.Pattern:
+    return re.compile(rf"((.)\2{{{max_run - 1}}})\2+", re.DOTALL)
 
 
 # Boundary insertion. AR = Arabic-script letter, LD = ASCII letter or any
@@ -104,7 +108,9 @@ _SENTINELS = {
 }
 ENTITY_KINDS = tuple(_SENTINELS)
 _SENTINEL_CHARS = frozenset(c for pair in _SENTINELS.values() for c in pair)
-_SENTINEL_SCRUB = {ord(c): None for c in _SENTINEL_CHARS}
+# A substitution, not `str.translate`: translate looks up every
+# character and pays for a KeyError on each one not in its table.
+_SENTINEL_RE = regex.compile("[" + "".join(sorted(_SENTINEL_CHARS)) + "]")
 
 # A full pipeline pass is repeated until the text stabilizes; real tweets
 # settle after one pass, adversarial interleavings after two or three.
@@ -183,11 +189,8 @@ class NormalizationConfig:
     )
 
     def __post_init__(self):
-        if self.max_repeat_run < 1:
-            raise ValueError(f"max_repeat_run must be >= 1, got {self.max_repeat_run}")
-        for kind, value in _placeholders(self).items():
-            if not value or "\n" in value:
-                raise ValueError(f"placeholder_{kind} must be non-empty and newline-free")
+        for name in _CHECKED_FIELDS:
+            _check_field(name, getattr(self, name))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "NormalizationConfig":
@@ -219,6 +222,10 @@ class NormalizationConfig:
                     raise ValueError(
                         f"{path}:{lineno}: {key} takes a {declared[key]}, got {value!r}"
                     ) from None
+                try:
+                    _check_field(key, kwargs[key])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
             elif key == "removal_ranges":
                 raise ValueError(
                     f"{path}:{lineno}: unknown key 'removal_ranges'; "
@@ -229,6 +236,18 @@ class NormalizationConfig:
         return cls(**kwargs)
 
 
+# The fields `_check_field` has a rule for.
+_CHECKED_FIELDS = ("max_repeat_run", *(f"placeholder_{kind}" for kind in ENTITY_KINDS))
+
+
+def _check_field(name: str, value) -> None:
+    """Raise ValueError if `value` is not allowed for the field `name`."""
+    if name == "max_repeat_run" and value < 1:
+        raise ValueError(f"max_repeat_run must be >= 1, got {value}")
+    if name.startswith("placeholder_") and (not value or "\n" in value):
+        raise ValueError(f"{name} must be non-empty and newline-free")
+
+
 def _placeholders(config: NormalizationConfig) -> dict[str, str]:
     """The placeholder that stands for each entity kind."""
     return {kind: getattr(config, f"placeholder_{kind}") for kind in ENTITY_KINDS}
@@ -236,12 +255,15 @@ def _placeholders(config: NormalizationConfig) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class NormalizedText:
-    """A normalized tweet plus the audit trail of rules that changed it."""
+    """A normalized tweet plus the audit trail of rules that changed it
+    and the number of pipeline passes run (the last one changed nothing
+    unless the text hit the pass cap)."""
 
     original: str
     normalized: str
     rules_applied: tuple[str, ...]
     entity_counts: Mapping[str, int]
+    passes: int
 
 
 def is_arabic_char(ch: str) -> bool:
@@ -304,6 +326,9 @@ def _replace_entity_spans(
 ) -> str:
     """Replace each entity span by its kind's pair of replacements, used
     in turn, and count the spans per kind."""
+    # Every URL, email and mention pattern needs one of these to match.
+    if "@" not in text and "/" not in text and "www." not in text:
+        return text
     spans = _entity_spans(text)
     if not spans:
         return text
@@ -394,13 +419,14 @@ def collapse_repeats(text: str, max_run: int) -> str:
     """Truncate runs of an identical grapheme cluster to `max_run`."""
     if max_run < 1:
         raise ValueError(f"max_run must be >= 1, got {max_run}")
-    if not _repeat_run_re(max_run).search(text):
+    if len(text) <= max_run:
         return text
-    graphemes = _GRAPHEME_RE.findall(text)
+    if not _JOINING_RE.search(text):
+        return _codepoint_run_re(max_run).sub(r"\1", text)
     out = []
     prev = None
     run = 0
-    for g in graphemes:
+    for g in _GRAPHEME_RE.findall(text):
         run = run + 1 if g == prev else 1
         prev = g
         if run <= max_run:
@@ -458,12 +484,12 @@ def normalize(text: str, config: NormalizationConfig | None = None) -> Normalize
     original = text
     # Pre-existing private-use sentinels would be indistinguishable from
     # our masks, so they are scrubbed up front.
-    current = text.translate(_SENTINEL_SCRUB)
+    current = _SENTINEL_RE.sub("", text)
     counts: Counter = Counter()
     applied: dict[str, None] = {}
     rules = [(name, rule) for name, rule in _RULES if getattr(config, name)]
 
-    for _ in range(_MAX_PASSES):
+    for passes in range(1, _MAX_PASSES + 1):
         before_pass = current
         for name, rule in rules:
             rewritten = rule(current, config, counts)
@@ -482,4 +508,5 @@ def normalize(text: str, config: NormalizationConfig | None = None) -> Normalize
         normalized=current,
         rules_applied=tuple(r for r in RULE_ORDER if r in applied),
         entity_counts=dict(counts),
+        passes=passes,
     )

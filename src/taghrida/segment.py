@@ -63,18 +63,26 @@ class Lexicon:
 _MEMO_MAX_ENTRIES = 1 << 18
 
 
+# How `segment_text` resolved a token, by index: the stem is a lexicon
+# entry, clitics were peeled without a lexicon stem, or the token passed
+# through whole.
+_KINDS = ("lexicon_hits", "fallback_peels", "passthrough")
+
+
 class _Memo:
     """What `segment_text` did with one rules object and one lexicon:
-    the rendered segmentation of each token it met (up to
-    `_MEMO_MAX_ENTRIES` of them) and the counts `segment_stats` reports."""
+    the rendered segmentation and the kind (an index into `_KINDS`) of
+    each token it met (up to `_MEMO_MAX_ENTRIES` of them) and the counts
+    `segment_stats` reports."""
 
-    __slots__ = ("rendered", "tokens", "distinct_tokens", "placeholder_spans")
+    __slots__ = ("rendered", "tokens", "distinct_tokens", "placeholder_spans", "kinds")
 
     def __init__(self):
-        self.rendered: dict[str, str] = {}
+        self.rendered: dict[str, tuple[str, int]] = {}
         self.tokens = 0
         self.distinct_tokens = 0
         self.placeholder_spans = 0
+        self.kinds = [0] * len(_KINDS)
 
 
 @dataclass(frozen=True)
@@ -126,10 +134,18 @@ class CliticRules:
         return tuple(sorted(self.proclitics, key=len, reverse=True))
 
     @cached_property
-    def _strips(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
-        """(entry, proclitic_units(entry)) pairs, longest entry first:
-        the order in which `segment_token` tries proclitic strips."""
-        return tuple((entry, self.proclitic_units(entry)) for entry in self._by_length)
+    def _proclitic_table(self) -> tuple[dict[str, tuple[str, ...]], tuple[int, ...]]:
+        """Each entry's `proclitic_units`, and the distinct entry lengths,
+        longest first. At most one entry of a length starts a string, so
+        looking up a string's prefix of each length in turn tries the
+        strips longest first, as `segment_token` does."""
+        units = {entry: self.proclitic_units(entry) for entry in self.proclitics}
+        return units, tuple(sorted({len(entry) for entry in units}, reverse=True))
+
+    @cached_property
+    def _enclitic_table(self) -> tuple[frozenset[str], tuple[int, ...]]:
+        """The enclitic entries, and their distinct lengths, longest first."""
+        return frozenset(self.enclitics), tuple(sorted(set(map(len, self.enclitics)), reverse=True))
 
     @cached_property
     def _memos(self) -> dict[Lexicon, _Memo]:
@@ -185,10 +201,13 @@ class SegmentedToken:
 
     def rendered(self) -> str:
         """The `+`-marked form: "pre+ stem +post", space separated."""
-        pieces = [f"{p}+" for p in self.proclitics]
-        pieces.append(self.stem)
-        pieces.extend(f"+{e}" for e in self.enclitics)
-        return " ".join(pieces)
+        return _render(self.proclitics, self.stem, self.enclitics)
+
+
+def _render(proclitics: tuple[str, ...], stem: str, enclitics: tuple[str, ...]) -> str:
+    if not (proclitics or enclitics):
+        return stem
+    return " ".join([*(p + "+" for p in proclitics), stem, *("+" + e for e in enclitics)])
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
@@ -230,12 +249,76 @@ def _is_segmentable(token: str) -> bool:
     return _ARABIC_RUN.fullmatch(token) is not None and any(map(str.isalpha, token))
 
 
-def _longest_enclitic(token: str, rules: CliticRules) -> str | None:
-    best = None
-    for entry in rules.enclitics:
-        if token.endswith(entry) and (best is None or len(entry) > len(best)):
-            best = entry
-    return best
+# A token split as (proclitics, stem, enclitics).
+_Parts = tuple[tuple[str, ...], str, tuple[str, ...]]
+
+
+def _with_enclitic(
+    pros: tuple[str, ...], rest: str, rules: CliticRules, stems: frozenset[str]
+) -> _Parts | None:
+    """`rest` with its longest matching enclitic peeled, if that leaves a
+    lexicon stem; shorter matching enclitics are not tried."""
+    enclitics, lengths = rules._enclitic_table
+    for n in lengths:
+        if rest[-n:] in enclitics:
+            stem = rest[:-n]
+            if len(stem) >= rules.min_stem_len and stem in stems:
+                return pros, stem, (rest[-n:],)
+            return None
+    return None
+
+
+def _strip_search(
+    pros: tuple[str, ...], rest: str, budget: int, rules: CliticRules, stems: frozenset[str]
+) -> _Parts | None:
+    """Proclitic strips of at most `budget` units off `rest`, longest
+    first and depth first, each checked bare and with an enclitic."""
+    units_of, lengths = rules._proclitic_table
+    for n in lengths:
+        if n >= len(rest):  # a strip must leave a stem
+            continue
+        units = units_of.get(rest[:n])
+        if units is None or len(units) > budget:
+            continue
+        new_rest = rest[n:]
+        new_pros = pros + units
+        if len(new_rest) >= rules.min_stem_len and new_rest in stems:
+            return new_pros, new_rest, ()
+        found = _with_enclitic(new_pros, new_rest, rules, stems) or _strip_search(
+            new_pros, new_rest, budget - len(units), rules, stems
+        )
+        if found:
+            return found
+    return None
+
+
+def _segment_parts(token: str, rules: CliticRules, stems: frozenset[str]) -> _Parts:
+    """`segment_token`'s split of `token` as (proclitics, stem, enclitics)."""
+    if not _is_segmentable(token):
+        return (), token, ()
+    min_len = rules.min_stem_len
+    if len(token) >= min_len and token in stems:
+        return (), token, ()
+    found = _with_enclitic((), token, rules, stems) or _strip_search(
+        (), token, MAX_PROCLITIC_UNITS, rules, stems
+    )
+    if found:
+        return found
+    # Lexicon miss: peel at most one atomic proclitic off a long-enough
+    # remainder; anything else stays whole.
+    units_of, lengths = rules._proclitic_table
+    for n in lengths:
+        if len(token) - n >= min_len and len(units_of.get(token[:n], ())) == 1:
+            return (token[:n],), token[n:], ()
+    return (), token, ()
+
+
+def _kind(parts: _Parts, rules: CliticRules, stems: frozenset[str]) -> int:
+    """The index in `_KINDS` of how a token split as `parts` resolved."""
+    pros, stem, encs = parts
+    if len(stem) >= rules.min_stem_len and stem in stems:
+        return 0  # lexicon_hits
+    return 1 if pros or encs else 2  # fallback_peels, passthrough
 
 
 def segment_token(token: str, rules: CliticRules, lexicon: Lexicon) -> SegmentedToken:
@@ -251,54 +334,8 @@ def segment_token(token: str, rules: CliticRules, lexicon: Lexicon) -> Segmented
     stripped if the remainder is long enough; otherwise the token comes
     back unsegmented.
     """
-    if not _is_segmentable(token):
-        return SegmentedToken(surface=token, stem=token)
-
-    min_len = rules.min_stem_len
-    strips = rules._strips
-
-    def hit(stem: str) -> bool:
-        return len(stem) >= min_len and stem in lexicon
-
-    def with_enclitic(pros: tuple[str, ...], rest: str) -> SegmentedToken | None:
-        enc = _longest_enclitic(rest, rules)
-        if enc and hit(rest[: -len(enc)]):
-            return SegmentedToken(
-                surface=token, stem=rest[: -len(enc)], proclitics=pros, enclitics=(enc,)
-            )
-        return None
-
-    def search(pros: tuple[str, ...], rest: str, budget: int) -> SegmentedToken | None:
-        for entry, units in strips:
-            if len(units) > budget or not rest.startswith(entry):
-                continue
-            new_rest = rest[len(entry) :]
-            new_pros = pros + units
-            if hit(new_rest):
-                return SegmentedToken(surface=token, stem=new_rest, proclitics=new_pros)
-            found = with_enclitic(new_pros, new_rest) or search(
-                new_pros, new_rest, budget - len(units)
-            )
-            if found:
-                return found
-        return None
-
-    if hit(token):
-        return SegmentedToken(surface=token, stem=token)
-    found = with_enclitic((), token) or search((), token, MAX_PROCLITIC_UNITS)
-    if found:
-        return found
-
-    # Lexicon miss: peel at most one atomic proclitic off a long-enough
-    # remainder; anything else stays whole.
-    for entry, units in strips:
-        if len(units) != 1:
-            continue
-        if token.startswith(entry) and len(token) - len(entry) >= min_len:
-            return SegmentedToken(
-                surface=token, stem=token[len(entry) :], proclitics=(entry,)
-            )
-    return SegmentedToken(surface=token, stem=token)
+    pros, stem, encs = _segment_parts(token, rules, lexicon.stems)
+    return SegmentedToken(surface=token, stem=stem, proclitics=pros, enclitics=encs)
 
 
 def segment_text(text: str, rules: CliticRules, lexicon: Lexicon) -> str:
@@ -313,7 +350,7 @@ def segment_text(text: str, rules: CliticRules, lexicon: Lexicon) -> str:
     memo that lives on `rules`, keyed by `lexicon`.
     """
     memo = rules._memo(lexicon)
-    rendered = memo.rendered
+    rendered, kinds, stems = memo.rendered, memo.kinds, lexicon.stems
     tokens = text.split()
     n = len(tokens)
     out = []
@@ -326,13 +363,15 @@ def segment_text(text: str, rules: CliticRules, lexicon: Lexicon) -> str:
             spans += 1
             i += 3
             continue
-        piece = rendered.get(token)
-        if piece is None:
-            piece = segment_token(token, rules, lexicon).rendered()
+        entry = rendered.get(token)
+        if entry is None:
+            parts = _segment_parts(token, rules, stems)
+            entry = (_render(*parts), _kind(parts, rules, stems))
             memo.distinct_tokens += 1
             if len(rendered) < _MEMO_MAX_ENTRIES:
-                rendered[token] = piece
-        out.append(piece)
+                rendered[token] = entry
+        out.append(entry[0])
+        kinds[entry[1]] += 1
         i += 1
     memo.tokens += n - 3 * spans
     memo.placeholder_spans += spans
@@ -345,12 +384,16 @@ def segment_stats(rules: CliticRules, lexicon: Lexicon) -> dict[str, int]:
     (placeholder spans excluded), `distinct_tokens` among them (each is
     segmented once while the memo holds fewer than `_MEMO_MAX_ENTRIES`
     tokens; past that, a token met again is segmented and counted again)
-    and `placeholder_spans` passed through."""
+    and `placeholder_spans` passed through. Every token occurrence also
+    counts as one of `lexicon_hits` (its stem is in the lexicon),
+    `fallback_peels` (clitics were peeled, the stem is not) or
+    `passthrough` (it stayed whole, not a lexicon stem)."""
     memo = rules._memos.get(lexicon) or _Memo()
     return {
         "tokens": memo.tokens,
         "distinct_tokens": memo.distinct_tokens,
         "placeholder_spans": memo.placeholder_spans,
+        **dict(zip(_KINDS, memo.kinds)),
     }
 
 

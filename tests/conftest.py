@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from taghrida.segment import CliticRules, default_lexicon
+from taghrida.segment import CliticRules, Lexicon, SegmentedToken, default_lexicon
 
 # Word pools for synthesizing label-correlated tweet text. The class
 # markers make the corpora learnable by a linear model; the filler and
@@ -86,6 +86,15 @@ def write_csv(rows: list[dict[str, str]], path: Path) -> Path:
         writer.writeheader()
         writer.writerows(rows)
     return path
+
+
+def token_kind(seg: SegmentedToken, rules: CliticRules, lexicon: Lexicon) -> str:
+    """How a token was resolved, as `segment_stats` counts it: its stem
+    is a lexicon entry, clitics were peeled without one, or it passed
+    through whole."""
+    if len(seg.stem) >= rules.min_stem_len and seg.stem in lexicon:
+        return "lexicon_hits"
+    return "fallback_peels" if seg.is_segmented else "passthrough"
 
 
 def separable_examples() -> list[tuple[str, str]]:

@@ -1,5 +1,5 @@
 """Reference preprocessing and features: the per-item code paths that
-the normalization table, the cached clitic strips and the vectorized
+the normalization table, the clitic lookup tables and the vectorized
 feature hash replaced, kept as test oracles.
 
 - `remove_unwanted` decides every character of every text afresh;
@@ -8,9 +8,11 @@ feature hash replaced, kept as test oracles.
   text, with no pre-check that the text can change;
 - `is_segmentable` tests every character of a token against each
   Arabic block in turn;
-- `proclitic_units` re-sorts the proclitics at every recursion step and
-  `segment_token` re-derives every entry's units at every search step,
-  and `segment_text` segments every token afresh, with no memo;
+- `proclitic_units` re-sorts the proclitics at every recursion step,
+  `segment_token` tries every proclitic entry with `startswith` and
+  every enclitic with `endswith` and re-derives every entry's units at
+  every search step, and `segment_text` segments every token afresh,
+  with no memo;
 - `featurize` computes the feature hash of model format 2 from its
   definition: one polynomial per n-gram or word with Python ints mod
   2**64, no prefix sums and no inverse powers.
@@ -35,7 +37,6 @@ from taghrida.segment import (
     CliticRules,
     Lexicon,
     SegmentedToken,
-    _longest_enclitic,
 )
 
 # --- normalize ----------------------------------------------------------------
@@ -108,6 +109,14 @@ def _split_into_entries(rules: CliticRules, s: str, exclude: str) -> tuple[str, 
         if rest is not None:
             return (candidate,) + rest
     return None
+
+
+def _longest_enclitic(token: str, rules: CliticRules) -> str | None:
+    best = None
+    for entry in rules.enclitics:
+        if token.endswith(entry) and (best is None or len(entry) > len(best)):
+            best = entry
+    return best
 
 
 def segment_token(token: str, rules: CliticRules, lexicon: Lexicon) -> SegmentedToken:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,9 @@ import pytest
 from taghrida import baseline, cli
 from taghrida.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE
 from taghrida.normalize import RULE_ORDER, normalize
+from taghrida.segment import CliticRules, default_lexicon, segment_token
 
-from conftest import write_csv
+from conftest import token_kind, write_csv
 
 
 def run(*argv) -> int:
@@ -165,9 +167,11 @@ def test_normalize_manifest_records_stats(tmp_path):
         "entities": {
             kind: sum(r.entity_counts.get(kind, 0) for r in results) for kind in ("url", "email", "mention")
         },
+        "passes": {"1": 1, "2": 3},
     }
     assert all(stats["changed_by_rule"].values())
     assert stats["entities"] == {"url": 1, "email": 1, "mention": 1}
+    assert [r.passes for r in results] == [2, 2, 2, 1]  # the clean text needs no second pass
 
 
 def test_segment_manifest_records_stats(pipeline_dir):
@@ -193,11 +197,16 @@ def test_segment_manifest_records_stats(pipeline_dir):
             else:
                 tokens.append(words[i])
                 i += 1
+    rules, lexicon = CliticRules(), default_lexicon()
+    kinds = Counter(token_kind(segment_token(token, rules, lexicon), rules, lexicon) for token in tokens)
     stats = manifest_of(seg)["stats"]
     assert stats == {
         "records": 201, "tokens": len(tokens), "distinct_tokens": len(set(tokens)), "placeholder_spans": spans,
+        "lexicon_hits": kinds["lexicon_hits"], "fallback_peels": kinds["fallback_peels"],
+        "passthrough": kinds["passthrough"],
     }
     assert spans >= 2 and len(set(tokens)) < len(tokens)
+    assert min(kinds.values()) > 0 and len(kinds) == 3
 
 
 SURROGATE = chr(0xD800)

@@ -7,6 +7,12 @@ boundaries, spaces) and are asserted byte-exactly.
 
 from __future__ import annotations
 
+import json
+import os
+import re
+import resource
+import subprocess
+import sys
 import types
 from unittest import mock
 
@@ -16,7 +22,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_preprocess
+from conftest import write_csv
 from taghrida.normalize import (
+    _JOINING_RE,
     _TABLE_MAX_ENTRIES,
     RULE_ORDER,
     NormalizationConfig,
@@ -164,6 +172,31 @@ def test_collapse_repeats_grapheme_clusters():
     assert collapse_repeats("بّب", 1) == "بّب"
 
 
+def test_large_max_repeat_run_normalizes_in_bounded_memory(tmp_path):
+    # A run cap far above any text's length must cost nothing: the CLI
+    # runs under a 2 GB address-space cap and leaves the text as it is.
+    corpus = write_csv(
+        [{"tweet": "رااااائع جدا", "sarcasm": "FALSE", "sentiment": "NEU"}], tmp_path / "c.csv"
+    )
+    cfg = tmp_path / "norm.cfg"
+    cfg.write_text("max_repeat_run = 100000000\n", encoding="utf-8")
+    out = tmp_path / "n.jsonl"
+    cap = 2 << 30
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", "import sys; from taghrida.cli import main; sys.exit(main(sys.argv[1:]))",
+            "normalize", "--input", str(corpus), "--output", str(out), "--config", str(cfg),
+        ],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(out.read_text(encoding="utf-8"))["normalized"] == "رااااائع جدا"
+
+
 def test_insert_boundaries_examples():
     assert insert_boundaries("عام2021") == "عام 2021"
     assert insert_boundaries("(نص)") == "( نص )"
@@ -217,6 +250,9 @@ def test_normalize_records_rules_and_counts():
     # untouched text reports no applied rules
     assert normalize("هذا نص عادي تماما", CFG).rules_applied == ()
     assert normalize("", CFG).rules_applied == ()
+    # private-use sentinels in the input are dropped before any rule runs
+    res = normalize("نص\ue000\ue005 عادي\ue0ff", NormalizationConfig(unwanted_chars=False))
+    assert res.normalized == "نص عادي\ue0ff" and res.rules_applied == ()
 
 
 def test_disabled_rules_are_skipped():
@@ -296,6 +332,20 @@ def test_config_from_file_names_the_line_of_a_bad_key(tmp_path, line, message):
         NormalizationConfig.from_file(cfg_file)
     assert str(exc.value).startswith(f"{cfg_file}:2: ")
     assert message in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("max_repeat_run = 0", "max_repeat_run must be >= 1, got 0"),
+        ("placeholder_url =", "placeholder_url must be non-empty"),
+    ],
+)
+def test_config_from_file_names_the_line_of_a_value_that_fails_validation(tmp_path, line, message):
+    cfg_file = tmp_path / "norm.cfg"
+    cfg_file.write_text(f"# header\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=regex.escape(f"{cfg_file}:2: {message}")):
+        NormalizationConfig.from_file(cfg_file)
 
 
 def test_removal_ranges_file_roundtrip(tmp_path):
@@ -548,6 +598,39 @@ grapheme_text = st.lists(
 @settings(max_examples=500, deadline=None)
 def test_collapse_repeats_matches_reference(text, max_run):
     assert collapse_repeats(text, max_run) == reference_preprocess.collapse_repeats(text, max_run)
+
+
+def test_code_points_outside_the_joining_class_are_clusters_alone():
+    # The premise of collapse_repeats' code-point path: joined by "a" or
+    # by "\n", every code point that _JOINING_RE does not match is one
+    # extended grapheme cluster on its own.
+    alone = _JOINING_RE.sub("", "".join(map(chr, range(0x110000))))
+    assert "a" in alone and "\n" in alone and "ب" in alone and "\r" not in alone
+    for sep in ("a", "\n"):
+        text = sep.join(alone)
+        assert regex.findall(r"\X", text) == list(text)
+
+
+# Three copies of a cluster that spans code points, one for each kind of
+# joining code point: CR LF, Extend, Prepend, SpacingMark, Hangul jamo,
+# regional indicators and ZWJ. A code-point cut leaves each unchanged.
+JOINED_RUNS = (
+    "\r\n" * 3,
+    "e\u0301" * 3,
+    "\u0600\u0628" * 3,
+    "\u0915\u093e" * 3,
+    "\u1100\u1161" * 3,
+    "\U0001F1F8\U0001F1E6" * 3,
+    "\U0001F468\u200d\U0001F469\u200d\U0001F467" * 3,
+)
+
+
+@pytest.mark.parametrize("text", JOINED_RUNS)
+def test_collapse_repeats_cuts_runs_of_joined_clusters(text):
+    want = reference_preprocess.collapse_repeats(text, 2)
+    assert want == text[: len(text) * 2 // 3]
+    assert re.sub(r"(.)\1{2,}", r"\1\1", text, flags=re.DOTALL) == text
+    assert collapse_repeats(text, 2) == want
 
 
 @given(grapheme_text)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_preprocess
+from conftest import token_kind
 from taghrida import segment
 from taghrida.errors import DataError
 from taghrida.normalize import ARABIC_BLOCKS, NormalizationConfig, normalize
@@ -145,6 +146,17 @@ def test_shorter_proclitic_wins_when_longer_misses(rules):
     crafted = Lexicon(frozenset({"الكتاب"}))
     st = segment_token("والكتاب", rules, crafted)
     assert st.proclitics == ("و",) and st.stem == "الكتاب"
+
+
+def test_only_the_longest_enclitic_is_tried():
+    # ني and ي both end بيني; ني leaves بي, no stem, and ي is not tried
+    # although it would leave the stem بين.
+    rules = CliticRules(enclitics=DEFAULT_ENCLITICS + ("ني",))
+    lexicon = Lexicon(frozenset({"بين", "كتاب"}))
+    assert segment_token("بيني", rules, lexicon).rendered() == "ب+ يني"
+    assert segment_token("والكتابني", rules, lexicon).rendered() == "و+ ال+ كتاب +ني"
+    for token in ("بيني", "والكتابني"):
+        assert segment_token(token, rules, lexicon) == reference_preprocess.segment_token(token, rules, lexicon)
 
 
 def test_whole_token_beats_any_strip(rules):
@@ -309,16 +321,38 @@ def test_segment_memo_stays_bounded(monkeypatch):
     # Past the cap a token met again is segmented, and counted, again.
     assert segment_stats(rules, LEXICON) == {
         "tokens": 400, "distinct_tokens": 200 + 200 - 64, "placeholder_spans": 1,
+        "lexicon_hits": 400, "fallback_peels": 0, "passthrough": 0,
     }
 
 
 def test_segment_stats_restart_with_another_lexicon():
     fresh = CliticRules()
     other = Lexicon(frozenset({"كتاب"}))
-    segment_text("والكتاب والكتاب [ رابط ]", fresh, LEXICON)
-    assert segment_stats(fresh, LEXICON) == {"tokens": 2, "distinct_tokens": 1, "placeholder_spans": 1}
-    segment_text("والكتاب", fresh, other)
-    assert segment_stats(fresh, other) == {"tokens": 1, "distinct_tokens": 1, "placeholder_spans": 0}
+    segment_text("والكتاب والكتاب [ رابط ] والقلم", fresh, LEXICON)
+    assert segment_stats(fresh, LEXICON) == {
+        "tokens": 3, "distinct_tokens": 2, "placeholder_spans": 1,
+        "lexicon_hits": 3, "fallback_peels": 0, "passthrough": 0,
+    }
+    segment_text("والكتاب والقلم 2021", fresh, other)
+    assert segment_stats(fresh, other) == {
+        "tokens": 3, "distinct_tokens": 3, "placeholder_spans": 0,
+        "lexicon_hits": 1, "fallback_peels": 1, "passthrough": 1,
+    }
+
+
+@given(composed_text, clitic_rules, st.sets(st.integers(min_value=1, max_value=4), max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_segment_text_memo_renders_and_counts_as_segment_token(text, rules, cuts):
+    tails = {token[cut:] for token in text.split() for cut in cuts if len(token) > cut}
+    lexicon = Lexicon(stems=LEXICON.stems | tails)
+    for token in text.split():
+        fresh = CliticRules(rules.proclitics, rules.enclitics, rules.min_stem_len)
+        seg = segment_token(token, fresh, lexicon)
+        assert segment_text(token, fresh, lexicon) == seg.rendered()
+        assert segment_text(token, fresh, lexicon) == seg.rendered()  # from the memo
+        stats = segment_stats(fresh, lexicon)
+        assert stats["tokens"] == 2 and stats["distinct_tokens"] == 1
+        assert stats[token_kind(seg, fresh, lexicon)] == 2
 
 
 def test_lexicon_stems_are_frozen():
