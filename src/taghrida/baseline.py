@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import time
 from array import array
 from collections.abc import ItemsView, Mapping, ValuesView
@@ -25,6 +26,10 @@ import numpy as np
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
+# Elements per block of the training step's elementwise pass: a block of
+# the weights, both moments, the gradient and two scratch rows (6 x 256
+# KiB) stays in cache across its operations.
+_BLOCK = 2**15
 
 MODEL_FORMAT_VERSION = 2
 
@@ -76,6 +81,9 @@ class HyperParams:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("learning_rate", "adam_epsilon", "l2_lambda"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("learning_rate", "adam_epsilon", "batch_size", "max_seq_len", "epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -94,7 +102,8 @@ class TrainStats:
     epoch_s: tuple[float, ...]  # seconds per epoch
     featurize_s: float
     gradient_s: float  # batch gathers and the loss/gradient kernel, all steps
-    optimizer_s: float  # Adam updates and the penalty's squares, all steps
+    optimizer_s: float  # the L2 gradient term, Adam and the squares, all steps
+    penalty_s: float  # the sum of the squares into ||W||^2, all steps
     support: int  # buckets with a non-zero value in some training text
     bucket_occupancy: float  # support / hash_dim
 
@@ -116,6 +125,10 @@ class BaselineModel:
     def __post_init__(self):
         if not np.isfinite(self.weights).all() or not np.isfinite(self.bias).all():
             raise ValueError("model parameters must be finite")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError(f"model labels must be distinct, got {self.labels!r}")
+        if self.max_seq_len <= 0:
+            raise ValueError(f"max_seq_len must be positive, got {self.max_seq_len}")
 
 
 # The feature hash; README "Baseline classifier" states it in full.
@@ -299,16 +312,14 @@ def _batch_loss_and_gradient(
     cols: np.ndarray,
     vals: np.ndarray,
     targets: Sequence[int],
-    l2_lambda: float,
-    sq_norm: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy of a packed batch plus l2_lambda * sq_norm / 2,
-    with the gradient with respect to `weights` and `bias`.
+) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of a packed batch, with its gradient with
+    respect to `weights` and `bias` as one flat array: the weights'
+    gradient in row-major order, then the bias's.
 
     Row r of the batch has the features cols[ptr[r]:ptr[r+1]], which
     index columns of `weights`, with the values vals[ptr[r]:ptr[r+1]],
-    and the label index targets[r]. `sq_norm` is ||W||^2 over the full
-    weight matrix, which `weights` may hold only some columns of.
+    and the label index targets[r].
     """
     n_rows = len(targets)
     n_labels, n_cols = weights.shape
@@ -334,20 +345,18 @@ def _batch_loss_and_gradient(
         loss -= term
     errs[rows, targets] -= 1.0
     errs *= inv_n
-    # accumulate adds the rows in order; no entry is -0.0, so starting
-    # from row 0 gives the same bits as starting from 0.0
-    grad_b = np.add.accumulate(errs, axis=0)[-1]
     # One scatter for the batch. bincount adds in input order, so every
     # cell sums its contributions in example order, starting from 0.0.
+    n_weights = n_labels * n_cols
     flat = (np.arange(n_labels)[:, None] * n_cols + cols).ravel()
     contrib = (errs[np.repeat(rows, np.diff(ptr))].T * vals).ravel()
     # with no features at all, bincount returns int64 zeros
-    grad_w = np.bincount(flat, weights=contrib, minlength=n_labels * n_cols)
-    grad_w = grad_w.astype(np.float64, copy=False).reshape(n_labels, n_cols)
-    if l2_lambda:
-        loss += 0.5 * l2_lambda * sq_norm
-        grad_w += l2_lambda * weights
-    return float(loss), grad_w, grad_b
+    grad = np.bincount(flat, weights=contrib, minlength=n_weights + n_labels)
+    grad = grad.astype(np.float64, copy=False)
+    # accumulate adds the rows in order; no entry is -0.0, so starting
+    # from row 0 gives the same bits as starting from 0.0
+    grad[n_weights:] = np.add.accumulate(errs, axis=0)[-1]
+    return float(loss), grad
 
 
 def loss_and_gradient(
@@ -373,10 +382,107 @@ def loss_and_gradient(
     ptr = np.cumsum([0] + [len(features) for features, _ in batch])
     cols = np.fromiter((j for features, _ in batch for j in features), np.int64, ptr[-1])
     vals = np.fromiter((v for features, _ in batch for v in features.values()), np.float64, ptr[-1])
-    sq_norm = float((model.weights**2).sum()) if l2_lambda else 0.0
-    return _batch_loss_and_gradient(
-        model.weights, model.bias, ptr, cols, vals, targets, l2_lambda, sq_norm
-    )
+    loss, grad = _batch_loss_and_gradient(model.weights, model.bias, ptr, cols, vals, targets)
+    grad_w = grad[: model.weights.size].reshape(model.weights.shape)
+    if l2_lambda:
+        loss += 0.5 * l2_lambda * float((model.weights**2).sum())
+        grad_w += l2_lambda * model.weights
+    return loss, grad_w, grad[model.weights.size :]
+
+
+# numpy sums a contiguous float64 array pairwise: a run of more than
+# _PAIRWISE_LEAF elements splits into [0, h) and [h, n) at
+# h = n//2 - (n//2) % 8; a shorter run is a leaf, summed into 8 lanes
+# (lane j adds elements j, j + 8, ... in order) that combine as
+# ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)).
+_PAIRWISE_LEAF = 128
+
+
+class _PairwiseSum:
+    """float(x.sum()) for a contiguous float64 x of `size` elements that
+    are non-negative and zero outside `indices` (sorted and distinct),
+    from x[indices] alone.
+
+    A zero adds nothing, so a lane's sum is that of its entries in
+    `indices`, in order: one `np.bincount` into the leaves' lanes. The
+    tree above the lanes runs one `np.add` per level, from a plan built
+    here. `size` is a multiple of 8 above _PAIRWISE_LEAF (n_labels x
+    hash_dim is), so every run splits into multiples of 8 and no leaf
+    has a tail beyond its lanes.
+    """
+
+    def __init__(self, size: int, indices: np.ndarray):
+        if size <= _PAIRWISE_LEAF or size % 8:
+            raise ValueError(f"size must be a multiple of 8 above {_PAIRWISE_LEAF}, got {size}")
+        # While a run is a multiple of 16, it splits into two equal
+        # halves, so the tree is `copies` equal trees of `period`
+        # elements under a perfect binary tree.
+        copies, period = 1, size
+        while period > _PAIRWISE_LEAF and period % 16 == 0:
+            copies, period = copies * 2, period // 2
+        # The tree of one period, nodes grouped by height: a lane is a
+        # node of height 0, and a sum is one higher than its higher
+        # operand. levels[h] lists the (operand, operand) of each node
+        # of height h in tree order; a node is (height, its index there).
+        levels: list[list] = [[]]
+        leaf_starts: list[int] = []
+
+        def add(a, b):
+            h = max(a[0], b[0]) + 1
+            if h == len(levels):
+                levels.append([])
+            levels[h].append((a, b))
+            return h, len(levels[h]) - 1
+
+        def build(lo: int, n: int):
+            if n > _PAIRWISE_LEAF:
+                half = n // 2 - (n // 2) % 8
+                return add(build(lo, half), build(lo + half, n - half))
+            base = 8 * len(leaf_starts)
+            leaf_starts.append(lo)
+            r = [(0, base + j) for j in range(8)]
+            return add(add(add(r[0], r[1]), add(r[2], r[3])), add(add(r[4], r[5]), add(r[6], r[7])))
+
+        build(0, period)
+        widths = [8 * len(leaf_starts)] + [len(level) for level in levels[1:]]
+        # The values of height h sit at starts[h] + copy * widths[h] + index;
+        # the perfect tree over the periods' roots follows.
+        starts = np.cumsum([0] + [copies * w for w in widths])
+        copy = np.arange(copies)[:, None]
+        self._levels = []
+        for h in range(1, len(levels)):
+            refs = np.array([[*a, *b] for a, b in levels[h]])
+            operands = [
+                (starts[refs[:, k]] + refs[:, k + 1] + copy * np.take(widths, refs[:, k])).ravel()
+                for k in (0, 2)
+            ]
+            out = slice(int(starts[h]), int(starts[h + 1]))
+            self._levels.append((*map(_as_index, operands), out))
+        at, n = int(starts[-1]) - copies, copies
+        while n > 1:
+            self._levels.append(
+                (slice(at, at + n, 2), slice(at + 1, at + n, 2), slice(at + n, at + n + n // 2))
+            )
+            at, n = at + n, n // 2
+        self._size = at + 1
+        # each index's lane: 8 per leaf, leaves in order, periods in order
+        leaf = np.searchsorted(leaf_starts, indices % period, side="right") - 1
+        self._lanes = (indices // period) * widths[0] + 8 * leaf + indices % 8
+
+    def __call__(self, values: np.ndarray) -> float:
+        """The sum; values[i] is x[indices[i]]."""
+        nodes = np.bincount(self._lanes, weights=values, minlength=self._size)
+        for left, right, out in self._levels:
+            np.add(nodes[left], nodes[right], out=nodes[out])
+        return float(nodes[-1])
+
+
+def _as_index(positions: np.ndarray):
+    """`positions` as a slice if they step evenly, else as they are."""
+    step = int(positions[1] - positions[0]) if len(positions) > 1 else 1
+    if step > 0 and (np.diff(positions) == step).all():
+        return slice(int(positions[0]), int(positions[-1]) + 1, step)
+    return positions
 
 
 def train(
@@ -403,6 +509,7 @@ def train(
     labels = tuple(sorted({label for _, label in train_set}))
     if len(labels) < 2:
         raise ValueError(f"need at least 2 distinct labels, got {labels}")
+    n_classes = len(labels)
 
     started = time.perf_counter()
     ptr, buckets, vals = _pack((text for text, _ in train_set), cfg, hyper.max_seq_len)
@@ -410,26 +517,34 @@ def train(
     support, cols = np.unique(buckets, return_inverse=True)
     label_index = {label: i for i, label in enumerate(labels)}
     targets = np.array([label_index[label] for _, label in train_set])
+    # The returned matrix, allocated before the first epoch so that a
+    # hash_dim too large to hold fails before training, not after it.
+    # np.zeros maps pages that stay unresident until the support is
+    # written into them.
+    dense = np.zeros((n_classes, cfg.hash_dim), dtype=np.float64)
 
-    n_classes = len(labels)
-    weights = np.zeros((n_classes, len(support)), dtype=np.float64)
-    bias = np.zeros(n_classes, dtype=np.float64)
-    m_w = np.zeros_like(weights)
-    v_w = np.zeros_like(weights)
-    m_b = np.zeros_like(bias)
-    v_b = np.zeros_like(bias)
-    scratch_w = (np.empty_like(weights), np.empty_like(weights))
-    scratch_b = (np.empty_like(bias), np.empty_like(bias))
-    # The penalty's ||W||^2 is summed over the squares of the full
-    # (n_classes, hash_dim) matrix, flattened: summing the support alone
-    # would add in another order and can move the loss by an ulp.
-    squares = np.zeros(n_classes * cfg.hash_dim) if hyper.l2_lambda else None
-    support_flat = (np.arange(n_classes)[:, None] * cfg.hash_dim + support).ravel()
+    # The weights, then the bias, in one flat array, as the kernel
+    # returns their gradient; Adam runs over all of it at once.
+    n_weights = n_classes * len(support)
+    params = np.zeros(n_weights + n_classes)
+    weights = params[:n_weights].reshape(n_classes, len(support))
+    bias = params[n_weights:]
+    m_params, v_params = np.zeros_like(params), np.zeros_like(params)
+    scratch = np.empty((2, min(params.size, _BLOCK)))
+    l2 = hyper.l2_lambda
+    if l2:
+        # ||W||^2 of the dense matrix, summed in numpy's order from the
+        # support's squares (`_PairwiseSum`).
+        squares = np.empty(n_weights)
+        penalty = _PairwiseSum(
+            n_classes * cfg.hash_dim,
+            (np.arange(n_classes)[:, None] * cfg.hash_dim + support).ravel(),
+        )
 
     rng = np.random.default_rng(hyper.seed)
     step = 0
     sq_norm = 0.0  # the weights start at zero
-    gradient_s = optimizer_s = 0.0
+    gradient_s = optimizer_s = penalty_s = 0.0
     history, epoch_s = [], []
     for _ in range(hyper.epochs):
         epoch_started = time.perf_counter()
@@ -438,54 +553,59 @@ def train(
         for start in range(0, len(train_set), hyper.batch_size):
             step_started = time.perf_counter()
             rows = order[start : start + hyper.batch_size]
-            loss, grad_w, grad_b = _batch_loss_and_gradient(
-                weights,
-                bias,
-                *_take_rows(ptr, cols, vals, rows),
-                targets[rows],
-                hyper.l2_lambda,
-                sq_norm,
+            loss, grad = _batch_loss_and_gradient(
+                weights, bias, *_take_rows(ptr, cols, vals, rows), targets[rows]
             )
+            if l2:  # loss_and_gradient's penalty term, in its order
+                loss += 0.5 * l2 * sq_norm
             kernel_done = time.perf_counter()
             gradient_s += kernel_done - step_started
             batch_losses.append(loss)
             step += 1
             bc1 = 1.0 - _ADAM_BETA1**step
             bc2 = 1.0 - _ADAM_BETA2**step
-            for grad, param_m, param_v, param, (tmp, den) in (
-                (grad_w, m_w, v_w, weights, scratch_w),
-                (grad_b, m_b, v_b, bias, scratch_b),
-            ):
+            # Block by block, so that each block's arrays stay in cache
+            # across its operations. Every operation is elementwise, so
+            # the blocks give the bits of one pass over the whole array.
+            for lo in range(0, params.size, _BLOCK):
+                hi = min(lo + _BLOCK, params.size)
+                param, g, m, v = params[lo:hi], grad[lo:hi], m_params[lo:hi], v_params[lo:hi]
+                tmp, den = scratch[:, : hi - lo]
+                w = params[lo : min(hi, n_weights)]  # the bias is not regularized
+                if l2:  # loss_and_gradient's grad_w += l2 * weights
+                    g[: len(w)] += np.multiply(w, l2, out=tmp[: len(w)])
                 # The operations of m += (1 - b1) g, v += (1 - b2) g**2 and
                 # param -= lr (m / bc1) / (sqrt(v / bc2) + eps) in their
                 # written order, so the result is bitwise the same, but
                 # into two reused buffers instead of a new array each.
-                param_m *= _ADAM_BETA1
-                param_m += np.multiply(grad, 1.0 - _ADAM_BETA1, out=tmp)
-                param_v *= _ADAM_BETA2
-                np.square(grad, out=tmp)
+                m *= _ADAM_BETA1
+                m += np.multiply(g, 1.0 - _ADAM_BETA1, out=tmp)
+                v *= _ADAM_BETA2
+                np.square(g, out=tmp)
                 tmp *= 1.0 - _ADAM_BETA2
-                param_v += tmp
-                np.divide(param_m, bc1, out=tmp)
+                v += tmp
+                np.divide(m, bc1, out=tmp)
                 tmp *= hyper.learning_rate
-                np.divide(param_v, bc2, out=den)
+                np.divide(v, bc2, out=den)
                 np.sqrt(den, out=den)
                 den += hyper.adam_epsilon
                 tmp /= den
                 param -= tmp
-            if squares is not None:
-                squares[support_flat] = (weights**2).ravel()
-                sq_norm = float(squares.sum())
-            optimizer_s += time.perf_counter() - kernel_done
+                if l2:
+                    np.square(w, out=squares[lo : lo + len(w)])
+            optimizer_done = time.perf_counter()
+            optimizer_s += optimizer_done - kernel_done
+            if l2:
+                sq_norm = penalty(squares)
+                penalty_s += time.perf_counter() - optimizer_done
         history.append(float(np.mean(batch_losses)))
         epoch_s.append(time.perf_counter() - epoch_started)
 
-    dense = np.zeros((n_classes, cfg.hash_dim), dtype=np.float64)
     dense[:, support] = weights
     return BaselineModel(
         labels=labels,
         weights=dense,
-        bias=bias,
+        bias=bias.copy(),
         feature_config=cfg,
         max_seq_len=hyper.max_seq_len,
         seed=hyper.seed,
@@ -497,6 +617,7 @@ def train(
             featurize_s=featurize_s,
             gradient_s=gradient_s,
             optimizer_s=optimizer_s,
+            penalty_s=penalty_s,
             support=len(support),
             bucket_occupancy=len(support) / cfg.hash_dim,
         ),
@@ -540,8 +661,9 @@ def load_model(path: str | Path) -> BaselineModel:
     """Load a model saved by `save_model`.
 
     Fails closed: a missing or wrongly typed key, an array that is not
-    float64 of the shape the labels and `hash_dim` imply, or a weight
-    that is not finite raises ValueError.
+    float64 of the shape the labels and `hash_dim` imply, a weight that
+    is not finite, a repeated label or a `max_seq_len` below 1 raises
+    ValueError.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):

@@ -535,6 +535,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -170,6 +170,14 @@ def test_hyper_params_validation():
     assert HyperParams().batch_size == 40
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "adam_epsilon", "l2_lambda"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_hyper_params_reject_non_finite(field, value):
+    # caught here, not after every epoch as "model parameters must be finite"
+    with pytest.raises(ValueError, match=field):
+        HyperParams(**{field: value})
+
+
 # --- loss and gradient ---------------------------------------------------------
 
 
@@ -335,6 +343,9 @@ def test_train_stats(tmp_path):
     assert stats.steps == 3 * 4  # 20 examples in batches of 6: 6, 6, 6, 2
     assert len(stats.epoch_s) == 3 and all(s >= 0.0 for s in stats.epoch_s)
     assert stats.featurize_s >= 0.0
+    assert stats.penalty_s > 0.0  # the default l2_lambda is not zero
+    no_l2 = train(examples, HyperParams(epochs=1, l2_lambda=0.0), SMALL_CFG).train_stats
+    assert no_l2.penalty_s == 0.0
     buckets = set()
     for text, _ in examples:
         buckets.update(featurize(text, SMALL_CFG))
@@ -372,6 +383,7 @@ def training_runs(draw, n_labels: int, l2_lambda: float):
     texts = draw(st.lists(st.text(_ALPHABET, max_size=24), max_size=20))
     rows = [(text, draw(st.sampled_from(labels))) for text in texts]
     rows += [("", labels[0]), (CANCELLING_TEXT, labels[1]), ("كتاب منكم", labels[-1])]
+    rows += [(label, label) for label in labels[2:-1]]  # every label is trained
     rows = draw(st.permutations(rows))
     batch_size = draw(st.integers(2, 7).filter(lambda b: len(rows) % b))
     hyper = HyperParams(
@@ -385,17 +397,72 @@ def training_runs(draw, n_labels: int, l2_lambda: float):
     return rows, hyper
 
 
-@pytest.mark.parametrize("l2_lambda", [0.0, 1e-3])
-@pytest.mark.parametrize("n_labels", [2, 3])
+# (n_labels, l2_lambda, cfg). 17 labels make numpy's pairwise sum of the
+# penalty split unevenly (runs of 136 elements split into 64 and 72).
+_REFERENCE_RUNS = [
+    pytest.param(n, l2, SMALL_CFG, id=f"{n}-{l2}") for n in (2, 3) for l2 in (0.0, 1e-3)
+] + [
+    pytest.param(n, l2, FeatureConfig(hash_dim=dim), id=f"{n}-{l2}-{dim}")
+    for n, dim in ((17, 2**10), (17, 2**12), (3, 2**12))
+    for l2 in (0.0, 1e-3)
+]
+
+
+@pytest.mark.parametrize("n_labels,l2_lambda,cfg", _REFERENCE_RUNS)
 @settings(
     max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(data=st.data())
-def test_train_matches_reference_bytes(tmp_path, l2_lambda, n_labels, data):
+def test_train_matches_reference_bytes(tmp_path, l2_lambda, n_labels, cfg, data):
     rows, hyper = data.draw(training_runs(n_labels, l2_lambda))
-    fast = model_bytes(train(rows, hyper, SMALL_CFG), tmp_path / "fast.json")
-    slow = model_bytes(reference_baseline.train(rows, hyper, SMALL_CFG), tmp_path / "slow.json")
+    fast = model_bytes(train(rows, hyper, cfg), tmp_path / "fast.json")
+    slow = model_bytes(reference_baseline.train(rows, hyper, cfg), tmp_path / "slow.json")
     assert fast == slow
+
+
+@pytest.mark.parametrize("block", ["weights", "weights - 1", 7])
+def test_train_block_boundaries_keep_reference_bytes(tmp_path, monkeypatch, block):
+    # The step runs block by block over the weights, then the bias, in
+    # one flat array: a block that ends at the last weight, one that
+    # straddles it, and many small ones.
+    rows = synth_rows({"FALSE": 60, "TRUE": 30}, {"NEG": 30, "NEU": 40, "POS": 20}, seed=3)
+    pairs = [(row["tweet"], row["sentiment"]) for row in rows]
+    hyper = HyperParams(epochs=2, l2_lambda=1e-3)
+    support = set()
+    for text, _ in pairs:
+        support.update(featurize(text[: hyper.max_seq_len], SMALL_CFG))
+    n_weights = 3 * len(support)
+    sizes = {"weights": n_weights, "weights - 1": n_weights - 1}
+    monkeypatch.setattr(baseline, "_BLOCK", sizes.get(block, block))
+    fast = model_bytes(train(pairs, hyper, SMALL_CFG), tmp_path / "fast.json")
+    slow = model_bytes(reference_baseline.train(pairs, hyper, SMALL_CFG), tmp_path / "slow.json")
+    assert fast == slow
+
+
+# (n_labels, log2 hash_dim): even splits down to the leaves (2, 3, 16),
+# uneven splits under a balanced tree (17), an unbalanced tree (33, 100),
+# and the defaults' 3 x 2**18
+_PENALTY_SHAPES = [
+    (2, 10), (2, 12), (3, 10), (3, 18), (5, 11), (16, 10), (17, 10), (17, 13), (33, 10), (100, 10)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@example(shape=(3, 18), occupancy=0.19, seed=0)
+@given(
+    shape=st.sampled_from(_PENALTY_SHAPES),
+    occupancy=st.sampled_from([0.0, 0.001, 0.19, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pairwise_sum_of_the_support_matches_numpy(shape, occupancy, seed):
+    n_labels, log_dim = shape
+    size = n_labels << log_dim
+    rng = np.random.default_rng(seed)
+    support = np.flatnonzero(rng.random(size) < occupancy)
+    dense = np.zeros(size)
+    # magnitudes over 16 decades, so that another order of the additions shows
+    dense[support] = rng.random(len(support)) * 10.0 ** rng.integers(-8, 8, len(support))
+    assert baseline._PairwiseSum(size, support)(dense[support]) == float(dense.sum())
 
 
 @pytest.mark.parametrize("task", ["sarcasm", "sentiment"])
@@ -642,6 +709,9 @@ _MALFORMED = {
     "data not base64": lambda p: {**p, "bias": {**p["bias"], "data": "!!!"}},
     "weights not finite": lambda p: {**p, "weights": _bad_array(np.full((2, 2**10), np.nan))},
     "bias infinite": lambda p: {**p, "bias": _bad_array(np.array([0.0, np.inf]))},
+    "max_seq_len zero": lambda p: {**p, "max_seq_len": 0},
+    "max_seq_len negative": lambda p: {**p, "max_seq_len": -5},
+    "labels repeated": lambda p: {**p, "labels": ["C0", "C0"]},
 }
 
 

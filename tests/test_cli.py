@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -494,10 +498,48 @@ def test_train_manifest_records_stats(trained):
     assert len(stats["epoch_loss"]) == len(stats["epoch_s"]) == 4
     assert stats["epoch_loss"] == json.loads(model.read_text(encoding="utf-8"))["loss_history"]
     assert stats["featurize_s"] >= 0.0
-    assert stats["gradient_s"] > 0.0 and stats["optimizer_s"] > 0.0
-    assert stats["gradient_s"] + stats["optimizer_s"] <= sum(stats["epoch_s"])
+    assert stats["gradient_s"] > 0.0 and stats["optimizer_s"] > 0.0 and stats["penalty_s"] > 0.0
+    assert stats["gradient_s"] + stats["optimizer_s"] + stats["penalty_s"] <= sum(stats["epoch_s"])
     assert 0 < stats["support"] <= 4096
     assert stats["bucket_occupancy"] == stats["support"] / 4096
+
+
+@pytest.mark.parametrize("flag", ["--learning-rate", "--adam-epsilon", "--l2-lambda"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_refuses_a_non_finite_hyperparameter(trained, capsys, flag, value):
+    tmp, tr, dv, model = trained
+    out = tmp / "bad.json"
+    capsys.readouterr()
+    assert run("train", "--input", str(tr), "--output", str(out), "--task", "sentiment",
+               "--hash-dim", "4096", flag, value) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+    assert not out.exists()
+
+
+def test_train_reports_a_hash_dim_too_large_to_hold(trained):
+    # 3 x 2**40 float64 weights (24 TiB) cannot be allocated under a 2 GB
+    # address-space cap: the CLI says so, without a traceback, before
+    # it trains.
+    tmp, tr, dv, model = trained
+    out = tmp / "huge.json"
+    cap = 2 << 30
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", "import sys; from taghrida.cli import main; sys.exit(main(sys.argv[1:]))",
+            "train", "--input", str(tr), "--output", str(out), "--task", "sentiment",
+            "--hash-dim", str(2**40),
+        ],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_DATA, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert "(3, 1099511627776)" in proc.stderr  # the weight matrix
+    assert not out.exists()
 
 
 def test_evaluate_requires_model_or_pred(trained):
