@@ -101,6 +101,7 @@ class TrainStats:
     steps: int
     epoch_s: tuple[float, ...]  # seconds per epoch
     featurize_s: float
+    columns_s: float  # mapping the features' buckets to support columns
     gradient_s: float  # batch gathers and the loss/gradient kernel, all steps
     optimizer_s: float  # the L2 gradient term, Adam and the squares, all steps
     penalty_s: float  # the sum of the squares into ||W||^2, all steps
@@ -306,7 +307,7 @@ def _take_rows(ptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, rows: np.nda
 
 
 def _batch_loss_and_gradient(
-    weights: np.ndarray,
+    table: np.ndarray,
     bias: np.ndarray,
     ptr: np.ndarray,
     cols: np.ndarray,
@@ -314,20 +315,22 @@ def _batch_loss_and_gradient(
     targets: Sequence[int],
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of a packed batch, with its gradient with
-    respect to `weights` and `bias` as one flat array: the weights'
+    respect to `table` and `bias` as one flat array: the table's
     gradient in row-major order, then the bias's.
 
-    Row r of the batch has the features cols[ptr[r]:ptr[r+1]], which
-    index columns of `weights`, with the values vals[ptr[r]:ptr[r+1]],
-    and the label index targets[r].
+    `table` holds the weights bucket-major, one row of n_labels per
+    column of the model's weight matrix. Row r of the batch has the
+    features cols[ptr[r]:ptr[r+1]], which index rows of `table`, with
+    the values vals[ptr[r]:ptr[r+1]], and the label index targets[r].
     """
     n_rows = len(targets)
-    n_labels, n_cols = weights.shape
+    n_cols, n_labels = table.shape
     inv_n = 1.0 / n_rows
     # Only the product W[:, features] @ values runs per row: its rounding
-    # depends on the BLAS call, and a column slice of one gather makes
-    # the same call as the row's own copy of those columns would.
-    gathered = weights[:, cols]
+    # depends on the BLAS call. The transposed row gather has the layout
+    # of the fancy index W[:, cols], strides (8, 8 * n_labels), and a
+    # column slice of it makes the call the row's own gather would.
+    gathered = np.take(table, cols, axis=0).T
     z = np.zeros((n_rows, n_labels))
     bounds = ptr.tolist()
     for r in range(n_rows):
@@ -345,11 +348,12 @@ def _batch_loss_and_gradient(
         loss -= term
     errs[rows, targets] -= 1.0
     errs *= inv_n
-    # One scatter for the batch. bincount adds in input order, so every
-    # cell sums its contributions in example order, starting from 0.0.
-    n_weights = n_labels * n_cols
-    flat = (np.arange(n_labels)[:, None] * n_cols + cols).ravel()
-    contrib = (errs[np.repeat(rows, np.diff(ptr))].T * vals).ravel()
+    # One scatter for the batch, label by label. bincount adds in input
+    # order, so every cell sums its contributions in example order,
+    # starting from 0.0.
+    n_weights = n_cols * n_labels
+    flat = (cols * n_labels + np.arange(n_labels)[:, None]).ravel()
+    contrib = (np.repeat(errs.T, np.diff(ptr), axis=1) * vals).ravel()
     # with no features at all, bincount returns int64 zeros
     grad = np.bincount(flat, weights=contrib, minlength=n_weights + n_labels)
     grad = grad.astype(np.float64, copy=False)
@@ -382,8 +386,8 @@ def loss_and_gradient(
     ptr = np.cumsum([0] + [len(features) for features, _ in batch])
     cols = np.fromiter((j for features, _ in batch for j in features), np.int64, ptr[-1])
     vals = np.fromiter((v for features, _ in batch for v in features.values()), np.float64, ptr[-1])
-    loss, grad = _batch_loss_and_gradient(model.weights, model.bias, ptr, cols, vals, targets)
-    grad_w = grad[: model.weights.size].reshape(model.weights.shape)
+    loss, grad = _batch_loss_and_gradient(model.weights.T, model.bias, ptr, cols, vals, targets)
+    grad_w = grad[: model.weights.size].reshape(model.weights.shape[::-1]).T
     if l2_lambda:
         loss += 0.5 * l2_lambda * float((model.weights**2).sum())
         grad_w += l2_lambda * model.weights
@@ -514,7 +518,6 @@ def train(
     started = time.perf_counter()
     ptr, buckets, vals = _pack((text for text, _ in train_set), cfg, hyper.max_seq_len)
     featurize_s = time.perf_counter() - started
-    support, cols = np.unique(buckets, return_inverse=True)
     label_index = {label: i for i, label in enumerate(labels)}
     targets = np.array([label_index[label] for _, label in train_set])
     # The returned matrix, allocated before the first epoch so that a
@@ -523,18 +526,34 @@ def train(
     # written into them.
     dense = np.zeros((n_classes, cfg.hash_dim), dtype=np.float64)
 
-    # The weights, then the bias, in one flat array, as the kernel
-    # returns their gradient; Adam runs over all of it at once.
-    n_weights = n_classes * len(support)
+    # Each feature's column: the support from a presence mask, then a
+    # table of hash_dim entries from bucket to column, one pass each
+    # instead of a sort of all the features.
+    started = time.perf_counter()
+    present = np.zeros(cfg.hash_dim, dtype=bool)
+    present[buckets] = True
+    support = np.flatnonzero(present)
+    del present
+    column = np.empty(cfg.hash_dim, dtype=np.intp)
+    column[support] = np.arange(len(support))
+    cols = column[buckets]
+    del column
+    columns_s = time.perf_counter() - started
+
+    # The weights bucket-major, one row of labels per support bucket,
+    # then the bias, in one flat array, as the kernel returns their
+    # gradient; Adam runs over all of it at once.
+    n_weights = len(support) * n_classes
     params = np.zeros(n_weights + n_classes)
-    weights = params[:n_weights].reshape(n_classes, len(support))
+    table = params[:n_weights].reshape(len(support), n_classes)
     bias = params[n_weights:]
     m_params, v_params = np.zeros_like(params), np.zeros_like(params)
     scratch = np.empty((2, min(params.size, _BLOCK)))
     l2 = hyper.l2_lambda
     if l2:
         # ||W||^2 of the dense matrix, summed in numpy's order from the
-        # support's squares (`_PairwiseSum`).
+        # support's squares in the dense matrix's label-major order
+        # (`_PairwiseSum`).
         squares = np.empty(n_weights)
         penalty = _PairwiseSum(
             n_classes * cfg.hash_dim,
@@ -554,7 +573,7 @@ def train(
             step_started = time.perf_counter()
             rows = order[start : start + hyper.batch_size]
             loss, grad = _batch_loss_and_gradient(
-                weights, bias, *_take_rows(ptr, cols, vals, rows), targets[rows]
+                table, bias, *_take_rows(ptr, cols, vals, rows), targets[rows]
             )
             if l2:  # loss_and_gradient's penalty term, in its order
                 loss += 0.5 * l2 * sq_norm
@@ -591,8 +610,8 @@ def train(
                 den += hyper.adam_epsilon
                 tmp /= den
                 param -= tmp
-                if l2:
-                    np.square(w, out=squares[lo : lo + len(w)])
+            if l2:  # label by label, as the penalty's indices run
+                np.square(table.T, out=squares.reshape(n_classes, -1))
             optimizer_done = time.perf_counter()
             optimizer_s += optimizer_done - kernel_done
             if l2:
@@ -601,7 +620,7 @@ def train(
         history.append(float(np.mean(batch_losses)))
         epoch_s.append(time.perf_counter() - epoch_started)
 
-    dense[:, support] = weights
+    dense[:, support] = table.T
     return BaselineModel(
         labels=labels,
         weights=dense,
@@ -615,6 +634,7 @@ def train(
             steps=step,
             epoch_s=tuple(epoch_s),
             featurize_s=featurize_s,
+            columns_s=columns_s,
             gradient_s=gradient_s,
             optimizer_s=optimizer_s,
             penalty_s=penalty_s,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,7 +343,7 @@ def test_train_stats(tmp_path):
     stats = model.train_stats
     assert stats.steps == 3 * 4  # 20 examples in batches of 6: 6, 6, 6, 2
     assert len(stats.epoch_s) == 3 and all(s >= 0.0 for s in stats.epoch_s)
-    assert stats.featurize_s >= 0.0
+    assert stats.featurize_s >= 0.0 and stats.columns_s >= 0.0
     assert stats.penalty_s > 0.0  # the default l2_lambda is not zero
     no_l2 = train(examples, HyperParams(epochs=1, l2_lambda=0.0), SMALL_CFG).train_stats
     assert no_l2.penalty_s == 0.0
@@ -355,6 +356,26 @@ def test_train_stats(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     assert load_model(path).train_stats is None
+
+
+def test_train_memory_peak_stays_near_the_packed_features():
+    # The packed features take 16 bytes each and their support columns 8
+    # more. Mapping buckets to columns with np.unique(buckets,
+    # return_inverse=True) sorted copies of them all, and train's traced
+    # peak reached 58 bytes per feature here; a presence mask and a
+    # bucket-to-column table of hash_dim entries peak at 30.
+    rows = synth_rows({"FALSE": 1333, "TRUE": 667}, {"NEG": 666, "NEU": 667, "POS": 667}, seed=5)
+    pairs = [(row["tweet"], row["sarcasm"]) for row in rows]
+    cfg, hyper = FeatureConfig(hash_dim=2**12), HyperParams(epochs=1)
+    train(pairs[:50], hyper, cfg)  # fill featurize's lookup-table caches
+    n_features = sum(len(featurize(text[: hyper.max_seq_len], cfg)) for text, _ in pairs)
+    tracemalloc.start()
+    try:
+        train(pairs, hyper, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * n_features, peak / n_features
 
 
 # --- byte-exact against the dense reference trainer ------------------------------
@@ -537,20 +558,24 @@ def test_loss_and_gradient_clamp_matches_reference_bits():
 
 
 def test_matmul_on_a_gather_slice_matches_a_fresh_gather():
-    # The training kernel gathers a batch's columns once and multiplies
-    # each row's column slice; the bits equal a per-row gather only while
-    # BLAS rounds a strided slice as it rounds a fresh copy. A numpy or
-    # BLAS upgrade that breaks this fails here.
+    # The training kernel gathers a batch's rows of the bucket-major
+    # table once and multiplies each row's slice of the transposed
+    # gather; the bits equal a per-row column gather of the weights only
+    # while the two have one layout and BLAS rounds a strided slice as it
+    # rounds a fresh copy. A numpy or BLAS upgrade that breaks this fails
+    # here.
     rng = np.random.default_rng(0)
     sizes = list(range(18)) + [31, 32, 33, 63, 64, 65, 127, 128, 129, 600]
     sizes += rng.integers(0, 601, size=120).tolist()
     for n_labels in (2, 3):
-        weights = rng.normal(size=(n_labels, 4096))
+        table = rng.normal(size=(4096, n_labels))
+        weights = np.ascontiguousarray(table.T)
         perm = rng.permutation(len(sizes))
         ptr = np.concatenate([[0], np.cumsum(np.array(sizes)[perm])])
         cols = rng.integers(0, 4096, size=ptr[-1])
         vals = rng.normal(size=ptr[-1]) * rng.integers(1, 4, size=ptr[-1])
-        gathered = weights[:, cols]
+        gathered = np.take(table, cols, axis=0).T
+        assert gathered.strides == weights[:, cols].strides == (8, 8 * n_labels)
         out = np.zeros((len(sizes), n_labels))
         for r, (lo, hi) in enumerate(zip(ptr[:-1], ptr[1:])):
             np.matmul(gathered[:, lo:hi], vals[lo:hi], out=out[r])

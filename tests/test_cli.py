@@ -497,7 +497,7 @@ def test_train_manifest_records_stats(trained):
     assert stats["steps"] == 4 * math.ceil(180 / 40)
     assert len(stats["epoch_loss"]) == len(stats["epoch_s"]) == 4
     assert stats["epoch_loss"] == json.loads(model.read_text(encoding="utf-8"))["loss_history"]
-    assert stats["featurize_s"] >= 0.0
+    assert stats["featurize_s"] >= 0.0 and stats["columns_s"] >= 0.0
     assert stats["gradient_s"] > 0.0 and stats["optimizer_s"] > 0.0 and stats["penalty_s"] > 0.0
     assert stats["gradient_s"] + stats["optimizer_s"] + stats["penalty_s"] <= sum(stats["epoch_s"])
     assert 0 < stats["support"] <= 4096
