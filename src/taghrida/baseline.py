@@ -101,6 +101,7 @@ class TrainStats:
     steps: int
     epoch_s: tuple[float, ...]  # seconds per epoch
     featurize_s: float
+    features: int  # packed features: a training text's buckets with a non-zero value
     columns_s: float  # mapping the features' buckets to support columns
     gradient_s: float  # batch gathers and the loss/gradient kernel, all steps
     optimizer_s: float  # the L2 gradient term, Adam and the squares, all steps
@@ -274,26 +275,125 @@ def _logits(weights: np.ndarray, bias: np.ndarray, features: Features) -> np.nda
     return z
 
 
+# Code points (texts plus their words) per block of `_pack`. A block's
+# temporaries, about 240 bytes per code point (under 4 MB), stay small
+# beside the packed features; 2**16 broke the bound on train's peak
+# memory in tests/test_baseline.py. A text longer than that is a block
+# of its own.
+_PACK_CODES = 2**14
+
+
 def _pack(texts: Iterable[str], cfg: FeatureConfig, max_seq_len: int):
     """Featurize each text once into packed rows.
 
     Returns (ptr, buckets, values): the features of text i are
-    buckets[ptr[i]:ptr[i+1]] with values[ptr[i]:ptr[i+1]], in the order
-    `featurize` yields them. Each text's arrays are copied into the
-    buffers and dropped, so memory holds 16 bytes per feature instead of
-    every text's arrays at once.
+    buckets[ptr[i]:ptr[i+1]] with values[ptr[i]:ptr[i+1]], as
+    `featurize(text[:max_seq_len], cfg)` gives them. The texts are hashed
+    a block at a time (`_hash_block`), and each block's rows are copied
+    into the buffers and dropped, so memory holds 16 bytes per feature
+    and one block's temporaries.
     """
     ptr, buckets, values = array("q", [0]), array("q"), array("d")
-    for text in texts:
-        features = featurize(text[:max_seq_len], cfg)
-        buckets.frombytes(memoryview(features.idx).cast("B"))
-        values.frombytes(memoryview(features.vals).cast("B"))
-        ptr.append(len(buckets))
+    for block, words in _text_blocks(texts, max_seq_len, cfg.include_word_unigrams):
+        counts, block_buckets, block_values = _hash_block(block, words, cfg)
+        ptr.frombytes(memoryview(np.cumsum(counts) + len(buckets)).cast("B"))
+        buckets.frombytes(memoryview(block_buckets).cast("B"))
+        values.frombytes(memoryview(block_values).cast("B"))
     return (
         np.frombuffer(ptr, dtype=np.int64),
         np.frombuffer(buckets, dtype=np.int64),
         np.frombuffer(values, dtype=np.float64),
     )
+
+
+def _text_blocks(texts: Iterable[str], max_seq_len: int, split: bool):
+    """The texts cut to `max_seq_len`, each with its words if `split`,
+    in blocks of at most _PACK_CODES code points of text and words; a
+    longer text is a block of its own."""
+    block, words, size = [], [], 0
+    for text in texts:
+        text = text[:max_seq_len]
+        text_words = text.split() if split else []
+        codes = len(text) + sum(map(len, text_words))
+        if block and size + codes > _PACK_CODES:
+            yield block, words
+            block, words, size = [], [], 0
+        block.append(text)
+        words.append(text_words)
+        size += codes
+    if block:
+        yield block, words
+
+
+def _hash_block(texts: list[str], words: list[list[str]], cfg: FeatureConfig):
+    """`featurize` for a block of texts, `words[i]` the words of texts[i]:
+    (features per text, buckets, values), the rows back to back.
+
+    The texts and then all their words are joined into one array of
+    code points, with one prefix sum G over it. The hash is
+    shift-invariant mod 2**64: a feature at offset s has
+    (G[s + n] - G[s]) * _MULTIPLIER**-s at any global s, so it gets the
+    value `featurize` gives it. One sort of (row, bucket, sign) keys
+    groups each row's buckets in ascending order; a bucket's value is
+    its count of +1 signs less its count of -1 signs, an integer, so no
+    order of the additions can change it.
+    """
+    n_rows = len(texts)
+    rows = np.arange(n_rows)
+    lengths = np.fromiter(map(len, texts), np.int64, n_rows)
+    flat_words = [word for row in words for word in row]
+    codes = np.frombuffer(
+        ("".join(texts) + "".join(flat_words)).encode("utf-32-le", "surrogatepass"), np.uint32
+    )
+    size = len(codes)
+    powers, inverses = _powers(_PACK_CODES if size <= _PACK_CODES else 1 << (size - 1).bit_length())
+    prefix = np.zeros(size + 1, np.uint64)
+    np.cumsum((codes + np.uint64(1)) * powers[:size], out=prefix[1:])
+    salts = _salts(cfg.hash_seed)
+    n_text = int(lengths.sum())
+    # for each text code point, its row and how many code points of its
+    # text run from it to the text's end: an n-gram may start there if
+    # that is at least n
+    text_rows = np.repeat(rows, lengths)
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(n_text)
+    lo, hi = cfg.char_ngram_range
+    parts, row_parts = [], []
+    for n in range(lo, min(hi, int(lengths.max(initial=0))) + 1):
+        starts = np.flatnonzero(left >= n)
+        parts.append(((prefix[starts + n] - prefix[starts]) * inverses[starts]) ^ salts[n])
+        row_parts.append(text_rows[starts])
+    if flat_words:
+        word_lengths = np.fromiter(map(len, flat_words), np.int64, len(flat_words))
+        ends = np.cumsum(word_lengths) + n_text
+        starts = ends - word_lengths
+        parts.append(((prefix[ends] - prefix[starts]) * inverses[starts]) ^ salts[_WORD_TAG])
+        row_parts.append(np.repeat(rows, np.fromiter(map(len, words), np.int64, n_rows)))
+    if not parts:
+        return np.zeros(n_rows, np.int64), np.empty(0, np.int64), np.empty(0)
+    h = _finalize(np.concatenate(parts))
+    bucket = h & np.uint64(cfg.hash_dim - 1)
+    bucket_bits = cfg.hash_dim.bit_length() - 1
+    distinct = None
+    if (n_rows - 1).bit_length() + bucket_bits + 1 > 64:
+        # The key would overflow (a hash_dim near 2**63): key on each
+        # bucket's rank among the block's buckets instead.
+        distinct, rank = np.unique(bucket, return_inverse=True)
+        bucket, bucket_bits = rank.astype(np.uint64), (len(distinct) - 1).bit_length()
+    key = np.concatenate(row_parts).astype(np.uint64) << np.uint64(bucket_bits + 1)
+    key |= bucket << np.uint64(1)
+    key |= h >> np.uint64(63)  # the sign bit: set for -1
+    key.sort()
+    group = key >> np.uint64(1)
+    first = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
+    negatives = np.add.reduceat(key & np.uint64(1), first).view(np.int64)
+    sums = np.diff(first, append=len(key)) - 2 * negatives
+    keep = sums != 0
+    kept = group[first[keep]]
+    counts = np.bincount((kept >> np.uint64(bucket_bits)).view(np.int64), minlength=n_rows)
+    kept &= np.uint64((1 << bucket_bits) - 1)
+    # hash_dim <= 2**63, so every bucket fits in an int64
+    kept = kept.view(np.int64) if distinct is None else distinct[kept].view(np.int64)
+    return counts, kept, sums[keep].astype(np.float64)
 
 
 def _take_rows(ptr: np.ndarray, cols: np.ndarray, vals: np.ndarray, rows: np.ndarray):
@@ -634,6 +734,7 @@ def train(
             steps=step,
             epoch_s=tuple(epoch_s),
             featurize_s=featurize_s,
+            features=len(buckets),
             columns_s=columns_s,
             gradient_s=gradient_s,
             optimizer_s=optimizer_s,

@@ -36,7 +36,9 @@ ARABIC_BLOCKS = (
 
 # HTML stripping. Entities are decoded to a fixed point *before* tags are
 # removed so that double-encoded markup ("&lt;br&gt;") is stripped too.
-_TAG_RE = regex.compile(r"<[^>]*>")
+# As in HTML's tokenizer (WHATWG "tag open state"), a tag opens only
+# where "<" is followed by an ASCII letter, "/", "!" or "?", so "<3" is text.
+_TAG_RE = regex.compile(r"<[A-Za-z/!?][^>]*>")
 _UNKNOWN_ENTITY_RE = regex.compile(r"&[a-zA-Z][a-zA-Z0-9]{1,31};")
 
 # Entity replacement. Matching is leftmost-longest across the three
@@ -275,9 +277,11 @@ def strip_markup(text: str) -> str:
     """Remove HTML markup: tags become one space, entities are decoded.
 
     Entities are decoded repeatedly until stable (handles double
-    encoding), then complete ``<...>`` spans and undecodable ``&name;``
-    entities are replaced with a single space. Lone ``<`` ``>`` ``&``
-    characters are ordinary text and survive.
+    encoding), then complete tags (``<`` followed by an ASCII letter,
+    ``/``, ``!`` or ``?``, up to the next ``>``) and undecodable
+    ``&name;`` entities are replaced with a single space. Any other
+    ``<``, and lone ``>`` and ``&`` characters, are ordinary text and
+    survive.
     """
     for _ in range(_MAX_PASSES):
         decoded = html.unescape(text)

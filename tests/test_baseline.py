@@ -351,6 +351,7 @@ def test_train_stats(tmp_path):
     for text, _ in examples:
         buckets.update(featurize(text, SMALL_CFG))
     assert stats.support == len(buckets)
+    assert stats.features == sum(len(featurize(text, SMALL_CFG)) for text, _ in examples)
     assert stats.bucket_occupancy == len(buckets) / SMALL_CFG.hash_dim
     # the stats describe one training run and are not part of the model file
     path = tmp_path / "model.json"
@@ -396,6 +397,44 @@ def model_bytes(model: BaselineModel, path) -> bytes:
 
 def test_cancelling_text_has_no_features():
     assert featurize(CANCELLING_TEXT, SMALL_CFG) == {}
+
+
+_PACK_TEXTS = st.lists(
+    st.one_of(
+        st.sampled_from(["", CANCELLING_TEXT, "خبر خبر خبر"]),
+        st.text(_ALPHABET + "XG\t\u3000\ud800\udfff", max_size=30),
+        st.text(max_size=12),
+    ),
+    max_size=8,
+)
+_PACK_CFGS = st.builds(
+    FeatureConfig,
+    char_ngram_range=st.one_of(st.just((2, 5)), st.tuples(st.just(1), st.integers(1, 8))),
+    include_word_unigrams=st.booleans(),
+    hash_dim=st.sampled_from([2**10, 2**63]),
+    hash_seed=st.sampled_from([0, 2**64 - 1]),
+)
+
+
+# bound: 1 and 7 code points split the list into many blocks and leave
+# most texts longer than a block; the default puts every text in one.
+@pytest.mark.parametrize("bound", [1, 7, baseline._PACK_CODES])
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@example(
+    texts=["ab", "", CANCELLING_TEXT, "\ud800 xy", "كتاب منكم", "a"],
+    cfg=FeatureConfig(hash_dim=2**63),
+    max_seq_len=256,
+)
+@given(texts=_PACK_TEXTS, cfg=_PACK_CFGS, max_seq_len=st.sampled_from([1, 5, 256]))
+def test_pack_matches_reference_featurize_row_by_row(monkeypatch, bound, texts, cfg, max_seq_len):
+    monkeypatch.setattr(baseline, "_PACK_CODES", bound)
+    ptr, buckets, values = baseline._pack(iter(texts), cfg, max_seq_len)
+    want = [reference_preprocess.featurize(text[:max_seq_len], cfg) for text in texts]
+    assert ptr.tolist() == np.cumsum([0] + [len(row) for row in want]).tolist()
+    assert buckets.tolist() == [bucket for row in want for bucket in row]
+    assert values.tolist() == [value for row in want for value in row.values()]
 
 
 @st.composite

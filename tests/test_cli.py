@@ -357,7 +357,8 @@ def test_predict_reads_the_text_train_and_evaluate_read(trained, capsys):
     # one markup tag: the text normalizes to "", which train and
     # evaluate --model read, so predict must read "" too
     tmp, tr, dv, model = trained
-    corpus = write_csv([{"tweet": "<جميل جميل>", "sarcasm": "FALSE", "sentiment": "NEG"}], tmp / "tag.csv")
+    tweet = '<img alt="جميل جميل">'
+    corpus = write_csv([{"tweet": tweet, "sarcasm": "FALSE", "sentiment": "NEG"}], tmp / "tag.csv")
     norm, preds = tmp / "tag.jsonl", tmp / "tag_preds.jsonl"
     assert run("normalize", "--input", str(corpus), "--output", str(norm)) == EXIT_OK
     assert json.loads(norm.read_text(encoding="utf-8"))["normalized"] == ""
@@ -452,9 +453,9 @@ def test_predict_accepts_lone_surrogate(trained):
     assert json.loads(line)["id"] == 1
 
 
-def test_train_and_predict_featurize_once_per_text(trained, monkeypatch):
+def test_predict_featurizes_once_per_text(trained, monkeypatch):
     # perfbench's traced run wraps the module attribute baseline.featurize
-    # and reads its (text, cfg) and result for every text
+    # and reads its (text, cfg) and result for every predicted text
     tmp, tr, dv, model = trained
     calls = []
     featurize = baseline.featurize
@@ -464,14 +465,6 @@ def test_train_and_predict_featurize_once_per_text(trained, monkeypatch):
         return featurize(text, cfg)
 
     monkeypatch.setattr(baseline, "featurize", counting)
-    rc = run(
-        "train", "--input", str(tr), "--output", str(tmp / "again.json"),
-        "--task", "sentiment", "--hash-dim", "4096", "--epochs", "2", "--seed", "5",
-    )
-    assert rc == EXIT_OK
-    train_texts = [json.loads(l)["normalized"] for l in tr.read_text(encoding="utf-8").splitlines()]
-    assert calls == train_texts
-    calls.clear()
     preds = tmp / "preds.jsonl"
     assert run("predict", "--model", str(model), "--input", str(dv), "--output", str(preds)) == EXIT_OK
     dev_texts = [json.loads(l)["normalized"] for l in dv.read_text(encoding="utf-8").splitlines()]
@@ -502,6 +495,9 @@ def test_train_manifest_records_stats(trained):
     assert stats["gradient_s"] + stats["optimizer_s"] + stats["penalty_s"] <= sum(stats["epoch_s"])
     assert 0 < stats["support"] <= 4096
     assert stats["bucket_occupancy"] == stats["support"] / 4096
+    cfg = baseline.FeatureConfig(hash_dim=4096)
+    texts = [json.loads(l)["normalized"] for l in tr.read_text(encoding="utf-8").splitlines()]
+    assert stats["features"] == sum(len(baseline.featurize(text[:256], cfg)) for text in texts)
 
 
 @pytest.mark.parametrize("flag", ["--learning-rate", "--adam-epsilon", "--l2-lambda"])
